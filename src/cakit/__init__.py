@@ -23,7 +23,6 @@ from .combgen import (
     generate_stack,
     iter_combinations_nbit,
     iter_combinations_stack,
-    rank_combination,
 )
 from .greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
 from .model import (
@@ -33,7 +32,6 @@ from .model import (
     TestCase,
     TestSuite,
     VerificationReport,
-    extract_element,
     read_suite_csv,
     verify_coverage,
     write_suite_csv,
@@ -74,14 +72,12 @@ __all__ = [
     "build_store",
     "count_combinations",
     "environment_stamp",
-    "extract_element",
     "generate_ca",
     "generate_nbit",
     "generate_stack",
     "iter_combinations_nbit",
     "iter_combinations_stack",
     "projected_element_count",
-    "rank_combination",
     "read_suite_csv",
     "run_generation_bench",
     "run_greedy",

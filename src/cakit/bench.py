@@ -319,6 +319,7 @@ def run_search_bench(
         report.records.append(record)
         times: list[float] = []
         builds: list[float] = []
+        lookups = scanned = 0
         try:
             for _ in range(reps):
                 start = time.perf_counter()
@@ -338,13 +339,14 @@ def run_search_bench(
                     # Expected: the row cap exists precisely to bound the workload.
                     record.rows_built = len(exc.partial_suite.rows)
                 times.extend(timed.query_times[cfg.warmup_queries:])
-                counters = store.counters
-                record.bucket_lookups = counters.bucket_lookups
-                record.elements_scanned = counters.elements_scanned
+                lookups += store.counters.bucket_lookups
+                scanned += store.counters.elements_scanned
         except CapacityError as exc:
             record.status = "error"
             record.note = str(exc)
             continue
+        record.bucket_lookups = lookups
+        record.elements_scanned = scanned
         record.queries = len(times)
         record.build_s = statistics.median(builds)
         if times:

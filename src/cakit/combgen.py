@@ -127,14 +127,3 @@ def count_combinations(k: int, t: int) -> int:
     _check_args(k, t)
     return math.comb(k, t)
 
-
-def rank_combination(combo: tuple[int, ...], k: int) -> int:
-    """Lexicographic rank of a strictly increasing combination of {0..k-1}.
-
-    Combinatorial number system identity, O(t):
-    rank = C(k, t) - 1 - sum_j C(k - 1 - c_j, t - j).
-    """
-    t = len(combo)
-    _check_args(k, t)
-    comb = math.comb
-    return comb(k, t) - 1 - sum(comb(k - 1 - c, t - j) for j, c in enumerate(combo))

@@ -85,16 +85,6 @@ class CoveringArraySpec:
             v = ",".join(str(d) for d in self.domains)
         return f"t={self.t};k={self.k};v={v}"
 
-    def validate_combination(self, combo: "Combination") -> None:
-        if len(combo.indices) != self.t:
-            raise ValueError(
-                f"combination has {len(combo.indices)} indices, spec strength is {self.t}"
-            )
-        if combo.indices and combo.indices[-1] >= self.k:
-            raise ValueError(
-                f"combination index {combo.indices[-1]} out of range for k={self.k}"
-            )
-
     def validate_row(self, assignment: Sequence[int]) -> None:
         if len(assignment) != self.k:
             raise ValueError(
@@ -201,17 +191,6 @@ class VerificationReport:
         return not self.missing
 
 
-def extract_element(row: TestCase, combo: Combination) -> InteractionElement:
-    """Project a row onto a combination's parameter indices."""
-    assignment = row.assignment
-    if combo.indices[-1] >= len(assignment):
-        raise ValueError(
-            f"combination index {combo.indices[-1]} out of range for a "
-            f"{len(assignment)}-parameter row"
-        )
-    return InteractionElement(combo=combo, values=tuple(assignment[i] for i in combo.indices))
-
-
 def verify_coverage(suite: TestSuite) -> VerificationReport:
     """Check that every interaction element occurs in at least one row.
 
@@ -256,5 +235,9 @@ def read_suite_csv(path: str, spec: CoveringArraySpec) -> TestSuite:
                 values = tuple(int(x) for x in line.split(","))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer cell") from exc
+            try:
+                spec.validate_row(values)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             rows.append(TestCase(values))
     return TestSuite(spec=spec, rows=tuple(rows))

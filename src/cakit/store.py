@@ -1,30 +1,37 @@
 """Stores of uncovered interaction elements with coverage queries.
 
-Three observationally equivalent mechanisms, differing only in how a
-query locates elements:
+Every interaction element has one fixed flat position. A value tuple is
+packed into a single integer by mixed-radix encoding over its
+combination's domains (first value has the largest stride, last value
+stride 1), a bijection onto ``0..prod-1`` that preserves odometer order.
+Combinations are laid end to end in lexicographic rank order, so the
+element with packed value ``p`` of the combination of rank ``r`` sits at
+``base[r] + p``. One ``alive`` bytearray over those positions holds the
+tombstones: removal clears a flag and nothing is ever moved.
+
+The shared base class owns the layout, the tombstones, the remaining
+count, row validation, packing and element enumeration. Three
+observationally equivalent mechanisms differ only in how a query locates
+the row's elements:
 
 * ``HASH`` - buckets keyed by the parameter combination; each bucket is a
-  hashed set of packed value tuples, so a query does one bucket lookup
-  plus one set membership test per combination.
-* ``INDEXED`` - one flat array sorted by (combination rank, packed value)
-  with an offset table per combination; the within-slice search is linear,
+  hashed set of the packed values still uncovered, so a query does one
+  bucket lookup plus one set membership test per combination. Marking
+  removes from the bucket as well as clearing ``alive``.
+* ``INDEXED`` - the flat array of packed values (each combination's slice
+  is ``range(prod)``) searched linearly within the combination's slice,
   so query time grows with the number of values per combination.
-* ``FULL_SCAN`` - one flat unsorted array; every query walks all of it.
+* ``FULL_SCAN`` - the same flat array, paired with each position's
+  combination rank; every query walks all of it.
 
-A value tuple is packed into a single integer by mixed-radix encoding
-over the combination's domains (first value has the largest stride, last
-value stride 1). Packing is a bijection onto ``0..prod-1`` that preserves
-odometer order, which has a pleasant consequence: a freshly built bucket
-or slice is exactly ``range(prod)``.
-
-Removal is logical: HASH deletes from bucket sets, INDEXED and FULL_SCAN
-flip a tombstone flag so offsets stay valid. Builds are one-shot.
+Builds are one-shot.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator
 
 from .combgen import count_combinations, iter_combinations_stack
@@ -56,10 +63,10 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoreCounters:
-    """Instrumentation snapshot: work performed by queries so far.
+    """Instrumentation snapshot: work performed by queries and marks so far.
 
     ``bucket_lookups`` counts HASH bucket accesses (one per combination per
-    query). ``elements_scanned`` counts array positions walked by INDEXED
+    call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
     compared by FULL_SCAN.
     """
@@ -82,29 +89,29 @@ def projected_element_count(spec: CoveringArraySpec) -> int:
 
 
 class InteractionStore:
-    """Common machinery; concrete mechanisms fill in the query paths."""
+    """Flat element layout, tombstones and bookkeeping; mechanisms add the lookups."""
 
     mechanism: StoreMechanism
 
     def __init__(self, spec: CoveringArraySpec):
         self.spec = spec
         domains = spec.domains
-        combos = list(iter_combinations_stack(spec.k, spec.t))
-        projections: list[tuple[tuple[int, int], ...]] = []
-        products: list[int] = []
-        for combo in combos:
+        self._combos = list(iter_combinations_stack(spec.k, spec.t))
+        self._projections: list[tuple[tuple[int, int], ...]] = []
+        # base[rank] is the flat position of the combination's first element;
+        # the trailing entry is the total element count.
+        self._bases = [0]
+        for combo in self._combos:
             stride = 1
             pairs: list[tuple[int, int]] = []
             for i in reversed(combo):
                 pairs.append((i, stride))
                 stride *= domains[i]
             pairs.reverse()
-            projections.append(tuple(pairs))
-            products.append(stride)
-        self._combos = combos
-        self._projections = projections
-        self._products = products
-        self._remaining = sum(products)
+            self._projections.append(tuple(pairs))
+            self._bases.append(self._bases[-1] + stride)
+        self._remaining = self._bases[-1]
+        self._alive = bytearray(b"\x01") * self._remaining
         self._lookups = 0
         self._scanned = 0
 
@@ -122,10 +129,31 @@ class InteractionStore:
 
     def mark_covered(self, row: RowLike) -> int:
         """Remove every uncovered element the row covers; return how many."""
-        raise NotImplementedError
+        positions = self._take(self._pack(row))
+        alive = self._alive
+        for pos in positions:
+            alive[pos] = 0
+        self._remaining -= len(positions)
+        return len(positions)
 
     def uncovered_elements(self) -> Iterator[InteractionElement]:
         """Yield uncovered elements, combinations lexicographic, values in odometer order."""
+        alive, domains = self._alive, self.spec.domains
+        for combo, proj, (start, end) in zip(self._combos, self._projections, pairwise(self._bases)):
+            combination = Combination(combo)
+            for pos in range(start, end):
+                if alive[pos]:
+                    packed = pos - start
+                    values = tuple(packed // stride % domains[i] for i, stride in proj)
+                    yield InteractionElement(combo=combination, values=values)
+
+    def _take(self, packed: list[int]) -> list[int]:
+        """Flat positions of the still-uncovered elements among the row's packed values.
+
+        Found with the mechanism's own lookup and charged to its counters. A
+        mechanism that indexes live elements apart from ``_alive`` drops them
+        there; :meth:`mark_covered` clears their tombstones.
+        """
         raise NotImplementedError
 
     def _checked_row(self, row: RowLike) -> tuple[int, ...]:
@@ -133,13 +161,23 @@ class InteractionStore:
         self.spec.validate_row(assignment)
         return tuple(assignment)
 
-    def _unpack(self, rank: int, packed: int) -> InteractionElement:
-        combo = self._combos[rank]
-        values = []
-        for _, stride in self._projections[rank]:
-            values.append(packed // stride)
-            packed %= stride
-        return InteractionElement(combo=Combination(combo), values=tuple(values))
+    def _pack(self, row: RowLike) -> list[int]:
+        """Validate the row; return its packed value under each combination, in rank order."""
+        row = self._checked_row(row)
+        out = []
+        for proj in self._projections:
+            packed = 0
+            for i, stride in proj:
+                packed += row[i] * stride
+            out.append(packed)
+        return out
+
+    def _flat_packed_values(self) -> list[int]:
+        """The packed value at every flat position: each combination's ``range(prod)``, end to end."""
+        data: list[int] = []
+        for start, end in pairwise(self._bases):
+            data.extend(range(end - start))
+        return data
 
 
 class _HashStore(InteractionStore):
@@ -147,13 +185,14 @@ class _HashStore(InteractionStore):
 
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
-        # Packing maps each combination's full value grid onto 0..prod-1.
         self._buckets: dict[tuple[int, ...], set[int]] = {
-            combo: set(range(prod))
-            for combo, prod in zip(self._combos, self._products)
+            combo: set(range(end - start))
+            for combo, (start, end) in zip(self._combos, pairwise(self._bases))
         }
 
     def coverage_count(self, row: RowLike) -> int:
+        # Packs inline: the hottest loop in the package, and a call to
+        # _pack per query costs about a quarter more time.
         row = self._checked_row(row)
         buckets = self._buckets
         n = 0
@@ -167,26 +206,16 @@ class _HashStore(InteractionStore):
         self._lookups += len(self._combos)
         return n
 
-    def mark_covered(self, row: RowLike) -> int:
-        row = self._checked_row(row)
+    def _take(self, packed: list[int]) -> list[int]:
         buckets = self._buckets
-        removed = 0
-        for combo, proj in zip(self._combos, self._projections):
-            packed = 0
-            for i, stride in proj:
-                packed += row[i] * stride
+        taken = []
+        for combo, base, p in zip(self._combos, self._bases, packed):
             bucket = buckets[combo]
-            if packed in bucket:
-                bucket.remove(packed)
-                removed += 1
+            if p in bucket:
+                bucket.remove(p)
+                taken.append(base + p)
         self._lookups += len(self._combos)
-        self._remaining -= removed
-        return removed
-
-    def uncovered_elements(self) -> Iterator[InteractionElement]:
-        for rank, combo in enumerate(self._combos):
-            for packed in sorted(self._buckets[combo]):
-                yield self._unpack(rank, packed)
+        return taken
 
 
 class _IndexedStore(InteractionStore):
@@ -194,61 +223,23 @@ class _IndexedStore(InteractionStore):
 
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
-        data: list[int] = []
-        offsets = [0]
-        for prod in self._products:
-            data.extend(range(prod))
-            offsets.append(len(data))
-        self._data = data
-        self._offsets = offsets
-        self._alive = bytearray(b"\x01" * len(data))
-
-    def _find(self, rank: int, packed: int) -> tuple[int, int]:
-        """Linear search of the combination's slice; returns (position, cells walked)."""
-        start = self._offsets[rank]
-        pos = self._data.index(packed, start, self._offsets[rank + 1])
-        return pos, pos - start + 1
+        self._data = self._flat_packed_values()
 
     def coverage_count(self, row: RowLike) -> int:
-        row = self._checked_row(row)
-        alive = self._alive
-        n = 0
-        scanned = 0
-        for rank, proj in enumerate(self._projections):
-            packed = 0
-            for i, stride in proj:
-                packed += row[i] * stride
-            pos, walked = self._find(rank, packed)
-            scanned += walked
-            if alive[pos]:
-                n += 1
-        self._scanned += scanned
-        return n
+        # This _take changes nothing, so it answers queries too.
+        return len(self._take(self._pack(row)))
 
-    def mark_covered(self, row: RowLike) -> int:
-        row = self._checked_row(row)
-        alive = self._alive
-        removed = 0
-        scanned = 0
-        for rank, proj in enumerate(self._projections):
-            packed = 0
-            for i, stride in proj:
-                packed += row[i] * stride
-            pos, walked = self._find(rank, packed)
-            scanned += walked
-            if alive[pos]:
-                alive[pos] = 0
-                removed += 1
-        self._scanned += scanned
-        self._remaining -= removed
-        return removed
-
-    def uncovered_elements(self) -> Iterator[InteractionElement]:
+    def _take(self, packed: list[int]) -> list[int]:
         data, alive = self._data, self._alive
-        for rank in range(len(self._combos)):
-            for pos in range(self._offsets[rank], self._offsets[rank + 1]):
-                if alive[pos]:
-                    yield self._unpack(rank, data[pos])
+        taken = []
+        scanned = 0
+        for (start, end), p in zip(pairwise(self._bases), packed):
+            pos = data.index(p, start, end)
+            scanned += pos - start + 1
+            if alive[pos]:
+                taken.append(pos)
+        self._scanned += scanned
+        return taken
 
 
 class _FullScanStore(InteractionStore):
@@ -256,27 +247,15 @@ class _FullScanStore(InteractionStore):
 
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
-        data: list[int] = []
-        ranks: list[int] = []
-        for rank, prod in enumerate(self._products):
-            data.extend(range(prod))
-            ranks.extend([rank] * prod)
-        self._data = data
-        self._ranks = ranks
-        self._alive = bytearray(b"\x01" * len(data))
-
-    def _row_targets(self, row: tuple[int, ...]) -> list[int]:
-        targets = []
-        for proj in self._projections:
-            packed = 0
-            for i, stride in proj:
-                packed += row[i] * stride
-            targets.append(packed)
-        return targets
+        self._data = self._flat_packed_values()
+        self._ranks: list[int] = []
+        for rank, (start, end) in enumerate(pairwise(self._bases)):
+            self._ranks.extend([rank] * (end - start))
 
     def coverage_count(self, row: RowLike) -> int:
-        row = self._checked_row(row)
-        targets = self._row_targets(row)
+        # Kept apart from _take: walking positions through enumerate makes
+        # this loop, the whole cost of a query, much slower.
+        targets = self._pack(row)
         n = 0
         for packed, rank, live in zip(self._data, self._ranks, self._alive):
             if live and targets[rank] == packed:
@@ -284,23 +263,13 @@ class _FullScanStore(InteractionStore):
         self._scanned += self._remaining
         return n
 
-    def mark_covered(self, row: RowLike) -> int:
-        row = self._checked_row(row)
-        targets = self._row_targets(row)
-        alive = self._alive
-        removed = 0
-        for pos, (packed, rank) in enumerate(zip(self._data, self._ranks)):
-            if alive[pos] and targets[rank] == packed:
-                alive[pos] = 0
-                removed += 1
+    def _take(self, packed: list[int]) -> list[int]:
         self._scanned += self._remaining
-        self._remaining -= removed
-        return removed
-
-    def uncovered_elements(self) -> Iterator[InteractionElement]:
-        for pos, (packed, rank) in enumerate(zip(self._data, self._ranks)):
-            if self._alive[pos]:
-                yield self._unpack(rank, packed)
+        return [
+            pos
+            for pos, (p, rank, live) in enumerate(zip(self._data, self._ranks, self._alive))
+            if live and packed[rank] == p
+        ]
 
 
 _MECHANISMS: dict[StoreMechanism, type[InteractionStore]] = {

@@ -90,12 +90,13 @@ class TestSearchBench:
     def test_counter_sanity(self):
         spec = CoveringArraySpec.uniform(2, 5, 3)
         cfg = SearchBenchConfig(candidates_per_row=5, max_rows=3, warmup_queries=0)
-        report = run_search_bench(spec, [StoreMechanism.HASH], config=cfg)
-        record = report.records[0]
-        # every query and every mark does C(k,t) bucket lookups
+        # every query and every mark does C(k,t) bucket lookups, in every repetition
         per_call = count_combinations(5, 2)
-        assert record.bucket_lookups % per_call == 0
-        assert record.bucket_lookups >= record.queries * per_call
+        for reps in (1, 3):
+            report = run_search_bench(spec, [StoreMechanism.HASH], reps=reps, config=cfg)
+            record = report.records[0]
+            assert record.bucket_lookups % per_call == 0
+            assert record.bucket_lookups >= record.queries * per_call
 
     def test_capacity_error_recorded_per_mechanism(self):
         spec = CoveringArraySpec.uniform(2, 10, 10)

@@ -126,6 +126,14 @@ class TestVerifyCa:
         assert code == 0
         assert "covered=54" in out
 
+    @pytest.mark.parametrize("bad_row", ["0,1", "0,1,2"], ids=["short", "out_of_domain"])
+    def test_invalid_row_names_file_and_line(self, capsys, tmp_path, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,0,0\n{bad_row}\n")
+        code, _, err = run_cli(capsys, "verify-ca", "--spec", "t=2;k=3;v=2^3", "--suite", str(path))
+        assert code == 2
+        assert f"{path}:2:" in err
+
     def test_missing_suite_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "verify-ca", "--spec", "t=2;k=3;v=2^3", "--suite", str(tmp_path / "nope.csv")

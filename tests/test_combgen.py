@@ -18,7 +18,6 @@ from cakit.combgen import (
     generate_stack,
     iter_combinations_nbit,
     iter_combinations_stack,
-    rank_combination,
 )
 
 
@@ -134,9 +133,3 @@ def test_output_invariants(kt):
 @pytest.mark.parametrize("k,t", [(20, 2), (20, 6), (40, 3), (400, 2)])
 def test_streaming_count_identity(k, t):
     assert sum(1 for _ in iter_combinations_stack(k, t)) == count_combinations(k, t)
-
-
-@pytest.mark.parametrize("k,t", [(6, 2), (9, 4), (12, 3), (16, 8)])
-def test_rank_is_lexicographic_position(k, t):
-    for i, combo in enumerate(iter_combinations_stack(k, t)):
-        assert rank_combination(combo, k) == i

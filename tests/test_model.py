@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cakit.model import (
     Combination,
     CoveringArraySpec,
-    InteractionElement,
     TestCase,
     TestSuite,
-    extract_element,
     read_suite_csv,
     verify_coverage,
     write_suite_csv,
@@ -93,24 +91,6 @@ class TestCombination:
     def test_invalid(self, indices):
         with pytest.raises(ValueError):
             Combination(indices)
-
-
-class TestExtractElement:
-    def test_projection(self):
-        element = extract_element(TestCase((2, 0, 1, 2)), Combination((0, 3)))
-        assert element == InteractionElement(Combination((0, 3)), (2, 2))
-
-    def test_all_zero_row(self):
-        element = extract_element(TestCase((0, 0, 0)), Combination((1, 2)))
-        assert element.values == (0, 0)
-
-    def test_full_width_is_the_row(self):
-        element = extract_element(TestCase((1, 2, 0)), Combination((0, 1, 2)))
-        assert element.values == (1, 2, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            extract_element(TestCase((0, 1)), Combination((0, 2)))
 
 
 class TestVerifyCoverage:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cakit.model import CoveringArraySpec, TestCase
 from cakit.store import (
     CapacityError,
+    StoreCounters,
     StoreMechanism,
     build_store,
     projected_element_count,
@@ -186,6 +187,26 @@ class TestInstrumentation:
         store.coverage_count([1, 1, 1, 1])
         assert store.counters.elements_scanned - before == store.remaining()
 
+    def test_exact_cost_models_with_interleaved_marks(self):
+        spec = CoveringArraySpec(t=2, k=4, domains=(3, 2, 4, 3))
+        combos = list(itertools.combinations(range(spec.k), spec.t))
+        rows = [(2, 1, 3, 2), (0, 0, 0, 0), (2, 1, 0, 1), (1, 0, 3, 2), (2, 1, 3, 2), (0, 1, 2, 0)]
+        marks = {1, 2, 4}  # positions in rows of the calls that mark; the rest query
+        stores = {mech: build_store(spec, mech) for mech in ALL_MECHS}
+        expected_scan = {StoreMechanism.INDEXED: 0, StoreMechanism.FULL_SCAN: 0}
+        for n, row in enumerate(rows):
+            # packed value: first selected parameter has the largest stride
+            packed = [row[a] * spec.domains[b] + row[b] for a, b in combos]
+            expected_scan[StoreMechanism.INDEXED] += sum(p + 1 for p in packed)
+            expected_scan[StoreMechanism.FULL_SCAN] += stores[StoreMechanism.FULL_SCAN].remaining()
+            for store in stores.values():
+                (store.mark_covered if n in marks else store.coverage_count)(row)
+            hash_counters = stores[StoreMechanism.HASH].counters
+            assert hash_counters.bucket_lookups == len(combos) * (n + 1)
+            assert hash_counters.elements_scanned == 0
+            for mech, scanned in expected_scan.items():
+                assert stores[mech].counters == StoreCounters(bucket_lookups=0, elements_scanned=scanned)
+
     def test_indexed_scan_grows_with_values(self):
         small = build_store(CoveringArraySpec.uniform(2, 4, 2), StoreMechanism.INDEXED)
         large = build_store(CoveringArraySpec.uniform(2, 4, 9), StoreMechanism.INDEXED)
@@ -230,6 +251,9 @@ def test_mechanisms_observationally_equivalent(case):
             for mech in (StoreMechanism.HASH, StoreMechanism.INDEXED):
                 assert stores[mech].mark_covered(row) == expected_removed
         assert len({s.remaining() for s in stores.values()}) == 1
+    elements = {mech: list(store.uncovered_elements()) for mech, store in stores.items()}
+    assert elements[StoreMechanism.HASH] == elements[StoreMechanism.INDEXED] == elements[StoreMechanism.FULL_SCAN]
+    assert len(elements[StoreMechanism.HASH]) == oracle.remaining()
 
 
 @given(spec_and_row_sequence())
