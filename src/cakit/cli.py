@@ -11,8 +11,14 @@ import json
 import sys
 import time
 
-from .bench import SearchBenchConfig, run_generation_bench, run_search_bench
+from .bench import (
+    DEFAULT_NBIT_MAX_K,
+    SearchBenchConfig,
+    run_generation_bench,
+    run_search_bench,
+)
 from .combgen import (
+    NBIT_MAX_WIDTH,
     count_combinations,
     generate_nbit,
     iter_combinations_stack,
@@ -20,18 +26,25 @@ from .combgen import (
 )
 from .greedy import GreedyConfig, IncompleteCoverageError, generate_ca
 from .model import CoveringArraySpec, read_suite_csv, verify_coverage, write_suite_csv
-from .store import CapacityError, StoreMechanism
+from .store import PAPER_MECHANISMS, CapacityError, StoreMechanism
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-_MECH_NAMES = {
-    "hash": StoreMechanism.HASH,
-    "indexed": StoreMechanism.INDEXED,
-    "full": StoreMechanism.FULL_SCAN,
-}
+_MECH_NAMES = {mech.value: mech for mech in StoreMechanism}
+# bench-search compares the paper's mechanisms only.
+_BENCH_MECH_NAMES = {mech.value: mech for mech in PAPER_MECHANISMS}
+
+
+def _default_mechanism() -> str:
+    """generate-ca's mechanism when none is given: direct if numpy imports, else hash."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return "hash"
+    return "direct"
 
 
 def _int_list(text: str) -> list[int]:
@@ -57,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-ca", help="generate a covering array with the greedy builder")
     p.add_argument("--spec", required=True, help='spec string, e.g. "t=2;k=10;v=10^10"')
-    p.add_argument("--mech", choices=sorted(_MECH_NAMES), default="hash")
+    p.add_argument("--mech", choices=sorted(_MECH_NAMES),
+                   help="store mechanism (default direct when numpy is installed, else hash)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--candidates", type=int, default=50,
                    help="random candidate rows evaluated per iteration (default 50)")
@@ -98,11 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_combos(args) -> int:
+    count = count_combinations(args.k, args.t)  # validates (k, t)
     if args.count_only:
-        print(count_combinations(args.k, args.t))
+        print(count)
         return EXIT_OK
     if args.algo == "stack":
         combos = iter_combinations_stack(args.k, args.t)
+    elif args.k > DEFAULT_NBIT_MAX_K:
+        # generate_nbit walks all 2^k masks before it returns anything.
+        raise UnsupportedSizeError(
+            f"n-bit enumeration walks 2^{args.k} masks; gen-combos allows at most "
+            f"k={DEFAULT_NBIT_MAX_K} (hard width limit {NBIT_MAX_WIDTH})"
+        )
     else:
         combos = iter(generate_nbit(args.k, args.t))
     if args.out:
@@ -120,7 +141,8 @@ def _cmd_gen_combos(args) -> int:
 
 def _cmd_generate_ca(args) -> int:
     spec = CoveringArraySpec.from_string(args.spec)
-    mechanism = _MECH_NAMES[args.mech]
+    mech_name = args.mech or _default_mechanism()
+    mechanism = _MECH_NAMES[mech_name]
     config = GreedyConfig(
         candidates_per_row=args.candidates, rng_seed=args.seed, max_rows=args.max_rows
     )
@@ -138,7 +160,7 @@ def _cmd_generate_ca(args) -> int:
     metadata = {
         "spec": spec.to_string(),
         "seed": args.seed,
-        "mechanism": args.mech,
+        "mechanism": mech_name,
         "candidates_per_row": args.candidates,
         "max_rows": args.max_rows,
         "rows": len(suite.rows),
@@ -194,7 +216,7 @@ def _cmd_bench_gen(args) -> int:
 def _cmd_bench_search(args) -> int:
     spec = CoveringArraySpec.from_string(args.spec)
     try:
-        mechanisms = [_MECH_NAMES[name.strip()] for name in args.mechs.split(",") if name.strip()]
+        mechanisms = [_BENCH_MECH_NAMES[name.strip()] for name in args.mechs.split(",") if name.strip()]
     except KeyError as exc:
         raise ValueError(f"unknown mechanism {exc.args[0]!r}") from exc
     if not mechanisms:
@@ -227,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
+        # ImportError: a mechanism whose optional dependency is missing.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

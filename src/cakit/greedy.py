@@ -2,9 +2,11 @@
 
 Each iteration samples a batch of uniform-random candidate rows, scores
 them with the store's coverage query (the fitness function), and keeps the
-best scorer. The store mechanism changes how fast that query runs, never
-which rows get picked, so suites are identical across mechanisms for a
-fixed seed.
+best scorer. A store with a batch query (``coverage_counts``) scores the
+whole batch in one call; any other store is asked one ``coverage_count``
+per candidate. The store mechanism changes how fast that scoring runs,
+never which rows get picked, so suites are identical across mechanisms for
+a fixed seed.
 
 RNG identity: :class:`random.Random`, CPython's Mersenne Twister. Suite
 sizes are reproducible for a given seed within this implementation only.
@@ -53,6 +55,7 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     budget, which therefore also bounds the row count.
     """
     rng = random.Random(config.rng_seed)
+    score_batch = getattr(store, "coverage_counts", None)
     spec = store.spec
     domains = spec.domains
     rows: list[TestCase] = []
@@ -63,11 +66,17 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
                 TestSuite(spec=spec, rows=tuple(rows)), store.remaining()
             )
         iterations += 1
+        candidates = [
+            tuple(rng.randrange(v) for v in domains)
+            for _ in range(config.candidates_per_row)
+        ]
+        if score_batch is None:
+            gains = map(store.coverage_count, candidates)
+        else:
+            gains = score_batch(candidates)
         best_row: tuple[int, ...] | None = None
         best_gain = 0
-        for _ in range(config.candidates_per_row):
-            candidate = tuple(rng.randrange(v) for v in domains)
-            gain = store.coverage_count(candidate)
+        for candidate, gain in zip(candidates, gains):
             if gain > best_gain:
                 best_gain = gain
                 best_row = candidate

@@ -24,6 +24,13 @@ the row's elements:
 * ``FULL_SCAN`` - the same flat array, paired with each position's
   combination rank; every query walks all of it.
 
+Those three are the paper's measured subjects. A fourth mechanism,
+``DIRECT``, is an optional accelerator rather than a subject: it reads
+``alive`` through a numpy view and scores a whole batch of rows with one
+gather at ``base + packed``, for callers (the greedy builder) that score
+many candidates against the same store state. It needs numpy, imported
+only when such a store is built, and charges no counter.
+
 Builds are one-shot.
 """
 
@@ -32,7 +39,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator
+from operator import add
+from typing import Iterator, Sequence
 
 from .combgen import count_combinations, iter_combinations_stack
 from .model import Combination, CoveringArraySpec, InteractionElement, RowLike, as_assignment
@@ -41,11 +49,21 @@ from .model import Combination, CoveringArraySpec, InteractionElement, RowLike, 
 #: Roughly 1 GiB of worst-case layout; raise it explicitly for bigger runs.
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
+#: Ceiling on the entries of the (rows x combinations) position array that
+#: one DIRECT scoring step builds; bigger batches are scored in row chunks.
+#: A single row goes past it only when the combination count does.
+_DIRECT_CHUNK_ENTRIES = 1 << 20
+
 
 class StoreMechanism(enum.Enum):
     HASH = "hash"
     INDEXED = "indexed"
     FULL_SCAN = "full"
+    DIRECT = "direct"
+
+
+#: The mechanisms the paper measures against each other; DIRECT is not one.
+PAPER_MECHANISMS = (StoreMechanism.HASH, StoreMechanism.INDEXED, StoreMechanism.FULL_SCAN)
 
 
 class CapacityError(RuntimeError):
@@ -68,7 +86,7 @@ class StoreCounters:
     ``bucket_lookups`` counts HASH bucket accesses (one per combination per
     call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
-    compared by FULL_SCAN.
+    compared by FULL_SCAN. DIRECT charges neither counter.
     """
 
     bucket_lookups: int
@@ -272,10 +290,77 @@ class _FullScanStore(InteractionStore):
         ]
 
 
+class _DirectStore(InteractionStore):
+    mechanism = StoreMechanism.DIRECT
+
+    def __init__(self, spec: CoveringArraySpec):
+        try:
+            import numpy as np
+        except ImportError as exc:
+            raise ImportError(
+                "the direct store needs numpy, which is not installed "
+                "(pip install 'cakit[fast]'); the other mechanisms need nothing"
+            ) from exc
+        super().__init__(spec)
+        self._np = np
+        # A zero-copy view: marks clear _alive and the view sees them.
+        self._alive_view = np.frombuffer(self._alive, dtype=np.uint8)
+        # As unsigned limits, one comparison also catches negative values.
+        self._domain_limits = np.array(spec.domains, dtype=np.uintp)
+        # proj[r, j] is (parameter, stride) of slot j of the combination of
+        # rank r. The last slot's stride is always 1.
+        proj = np.array(self._projections, dtype=np.intp)
+        self._slots = [
+            (np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
+            for j in range(spec.t - 1)
+        ]
+        self._last_params = np.ascontiguousarray(proj[:, -1, 0])
+        self._base_array = np.array(self._bases[:-1], dtype=np.intp)
+
+    def coverage_count(self, row: RowLike) -> int:
+        return self.coverage_counts((row,))[0]
+
+    def coverage_counts(self, rows: Sequence[RowLike]) -> list[int]:
+        """:meth:`coverage_count` of every row, scored together. Read-only.
+
+        Raises ``ValueError`` if any row has the wrong length, a value
+        outside its domain, or a value that is not an integer.
+        """
+        np = self._np
+        rows = [as_assignment(row) for row in rows]
+        if not rows:
+            return []
+        if set(map(len, rows)) != {self.spec.k}:
+            for row in rows:
+                self._checked_row(row)  # raises coverage_count's error
+        batch = np.asarray(rows)
+        if batch.ndim != 2 or batch.dtype.kind not in "biu":
+            raise ValueError("rows must be flat sequences of integers")
+        batch = batch.astype(np.intp, copy=False)
+        outside = batch.view(np.uintp) >= self._domain_limits
+        if outside.any():
+            self._checked_row(rows[int(outside.any(axis=1).argmax())])  # raises
+        chunk = max(1, _DIRECT_CHUNK_ENTRIES // len(self._combos))
+        counts: list[int] = []
+        for lo in range(0, len(rows), chunk):
+            part = batch[lo:lo + chunk]
+            # base + sum over slots of value * stride, for every row and combination
+            positions = self._base_array + part[:, self._last_params]
+            for params, strides in self._slots:
+                positions += part[:, params] * strides
+            counts.extend(self._alive_view[positions].sum(axis=1).tolist())
+        return counts
+
+    def _take(self, packed: list[int]) -> list[int]:
+        alive = self._alive
+        return [pos for pos in map(add, self._bases, packed) if alive[pos]]
+
+
 _MECHANISMS: dict[StoreMechanism, type[InteractionStore]] = {
     StoreMechanism.HASH: _HashStore,
     StoreMechanism.INDEXED: _IndexedStore,
     StoreMechanism.FULL_SCAN: _FullScanStore,
+    StoreMechanism.DIRECT: _DirectStore,
 }
 
 

@@ -50,6 +50,15 @@ class TestGenCombos:
         assert code == 3
         assert "64" in err
 
+    def test_nbit_past_walk_bound_exits_3_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "combos.txt"
+        code, _, err = run_cli(
+            capsys, "gen-combos", "--k", "40", "--t", "2", "--algo", "nbit", "--out", str(path)
+        )
+        assert code == 3
+        assert "2^40" in err
+        assert not path.exists()
+
 
 class TestGenerateCa:
     def test_tiny_spec_four_rows(self, capsys, tmp_path):
@@ -62,7 +71,7 @@ class TestGenerateCa:
         meta = json.loads((tmp_path / "suite.csv.meta.json").read_text())
         assert meta["rows"] == 4
         assert meta["remaining"] == 0
-        assert meta["mechanism"] == "hash"
+        assert meta["mechanism"] == "direct"  # numpy is installed for the tests
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -89,7 +98,7 @@ class TestGenerateCa:
 
     def test_seed_determinism_across_mechanisms(self, capsys, tmp_path):
         outputs = []
-        for mech in ["hash", "indexed", "full"]:
+        for mech in ["hash", "indexed", "full", "direct"]:
             path = tmp_path / f"{mech}.csv"
             code, _, _ = run_cli(
                 capsys, "generate-ca", "--spec", "t=2;k=4;v=2^4",
@@ -97,7 +106,7 @@ class TestGenerateCa:
             )
             assert code == 0
             outputs.append(path.read_text())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 class TestVerifyCa:
@@ -167,6 +176,14 @@ class TestBenchCommands:
             capsys, "bench-search", "--spec", "t=2;k=2;v=2,2", "--mechs", "sorcery"
         )
         assert code == 2
+
+    def test_bench_search_rejects_direct(self, capsys):
+        # direct is not one of the paper's mechanisms, which bench-search compares
+        code, _, err = run_cli(
+            capsys, "bench-search", "--spec", "t=2;k=2;v=2,2", "--mechs", "hash,direct"
+        )
+        assert code == 2
+        assert "unknown mechanism 'direct'" in err
 
 
 class TestParsing:
