@@ -7,8 +7,8 @@ Two experiment families:
   is affordable;
 * search - per store mechanism, build the store and drive a seeded,
   row-capped greedy workload, timing every individual coverage query. The
-  headline metric is the maximum single query time (the store is fullest
-  at the start, so early queries dominate), with min/median recorded too.
+  mechanisms are compared on their median query time (criterion 7's
+  order), with min and max recorded too.
 
 Protocol notes, since absolute times are hardware-bound and the point is
 relative ordering: timings use ``time.perf_counter``; warmup passes and
@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .combgen import (
-    NBIT_MAX_WIDTH,
     count_combinations,
     iter_combinations_nbit,
     iter_combinations_stack,
@@ -37,7 +36,6 @@ from .combgen import (
 from .greedy import GreedyConfig, IncompleteCoverageError, run_greedy
 from .model import CoveringArraySpec
 from .store import (
-    DEFAULT_MAX_ELEMENTS,
     PAPER_MECHANISMS,
     CapacityError,
     StoreMechanism,
@@ -48,8 +46,8 @@ from .store import (
 #: decide up front whether a generation case can fit its wall-time budget.
 PRESKIP_RATE = 250_000
 
-#: Largest k for which the n-bit baseline is attempted by default; the 2^k
-#: mask walk above this takes longer than any insight it yields.
+#: Largest k for which the n-bit baseline is attempted; the 2^k mask walk
+#: above this takes longer than any insight it yields.
 DEFAULT_NBIT_MAX_K = 24
 
 CSV_COLUMNS = [
@@ -198,7 +196,6 @@ def run_generation_bench(
     warmup: int = 3,
     budget_s: float = 120.0,
     include_nbit: bool = True,
-    nbit_max_k: int = DEFAULT_NBIT_MAX_K,
 ) -> BenchReport:
     """Time streaming generation for every (k, t) case in the sweep.
 
@@ -231,12 +228,9 @@ def run_generation_bench(
                 continue
             nrecord = BenchRecord(kind="generation", subject="nbit", k=k, t=t)
             report.records.append(nrecord)
-            if k > min(nbit_max_k, NBIT_MAX_WIDTH):
+            if k > DEFAULT_NBIT_MAX_K:
                 nrecord.status = "skipped"
-                nrecord.note = (
-                    f"2^{k} masks exceed the n-bit budget (max k={min(nbit_max_k, NBIT_MAX_WIDTH)}); "
-                    f"hard width limit is {NBIT_MAX_WIDTH}"
-                )
+                nrecord.note = f"2^{k} masks exceed the n-bit budget (max k={DEFAULT_NBIT_MAX_K})"
             else:
                 _time_generation_case(
                     nrecord, lambda: iter_combinations_nbit(k, t), total,
@@ -292,17 +286,15 @@ class SearchBenchConfig:
     """Workload shape for the search benchmark.
 
     The greedy run is capped at ``max_rows`` iterations so the measurement
-    happens while the store is still full (the regime the headline
-    max-query-time metric cares about) and finishes in bounded time;
+    happens while the store is still full and finishes in bounded time;
     candidates_per_row * max_rows queries are issued, the first
-    ``warmup_queries`` discarded.
+    ``warmup_queries`` discarded. Mechanisms are compared on median query time.
     """
 
     seed: int = 0
     candidates_per_row: int = 10
     max_rows: int = 10
     warmup_queries: int = 3
-    max_elements: int = DEFAULT_MAX_ELEMENTS
 
 
 def run_search_bench(
@@ -336,7 +328,7 @@ def run_search_bench(
         try:
             for _ in range(reps):
                 start = time.perf_counter()
-                store = build_store(spec, mechanism, max_elements=cfg.max_elements)
+                store = build_store(spec, mechanism)
                 builds.append(time.perf_counter() - start)
                 record.count = store.remaining()
                 timed = _TimingStore(store)

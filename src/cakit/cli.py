@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or coverage failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -126,13 +127,9 @@ def _cmd_gen_combos(args) -> int:
         )
     else:
         combos = iter(generate_nbit(args.k, args.t))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for combo in combos:
-                fh.write(",".join(map(str, combo)))
-                fh.write("\n")
-    else:
-        write = sys.stdout.write
+    sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        write = fh.write
         for combo in combos:
             write(",".join(map(str, combo)))
             write("\n")

@@ -12,6 +12,7 @@ so it stays an independent check on everything built on top of them.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -85,16 +86,28 @@ class CoveringArraySpec:
             v = ",".join(str(d) for d in self.domains)
         return f"t={self.t};k={self.k};v={v}"
 
-    def validate_row(self, assignment: Sequence[int]) -> None:
+    def validate_row(self, assignment: Sequence[int]) -> tuple[int, ...]:
+        """The row as a tuple of ints; ``ValueError`` unless it is k integers inside their domains.
+
+        An integer is what :func:`operator.index` accepts: ints, bools and numpy integers, not 1.0.
+        """
         if len(assignment) != self.k:
-            raise ValueError(
-                f"test case has {len(assignment)} values, spec has k={self.k}"
-            )
+            raise ValueError(f"test case has {len(assignment)} values, spec has k={self.k}")
+        for x, v in zip(assignment, self.domains):
+            if type(x) is not int or not 0 <= x < v:
+                break
+        else:  # the common row of plain in-domain ints
+            return tuple(assignment)
+        row = []
         for i, (x, v) in enumerate(zip(assignment, self.domains)):
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise ValueError(f"value {x!r} of parameter {i} is not an integer") from None
             if not 0 <= x < v:
-                raise ValueError(
-                    f"value {x} of parameter {i} outside its domain 0..{v - 1}"
-                )
+                raise ValueError(f"value {x} of parameter {i} outside its domain 0..{v - 1}")
+            row.append(x)
+        return tuple(row)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from itertools import pairwise
 from operator import add
 from typing import Iterator, Sequence
 
-from .combgen import count_combinations, iter_combinations_stack
+from .combgen import iter_combinations_stack
 from .model import Combination, CoveringArraySpec, InteractionElement, RowLike, as_assignment
 
 #: Default ceiling on the number of interaction elements a store may hold.
@@ -69,12 +69,11 @@ PAPER_MECHANISMS = (StoreMechanism.HASH, StoreMechanism.INDEXED, StoreMechanism.
 class CapacityError(RuntimeError):
     """Projected element count exceeds the configured memory budget."""
 
-    def __init__(self, element_count: int, max_elements: int, approximate: bool = False):
+    def __init__(self, element_count: int, max_elements: int):
         self.element_count = element_count
         self.max_elements = max_elements
-        qualifier = "at least " if approximate else ""
         super().__init__(
-            f"store would hold {qualifier}{element_count} interaction elements, "
+            f"store would hold {element_count} interaction elements, "
             f"exceeding the budget of {max_elements}"
         )
 
@@ -94,16 +93,16 @@ class StoreCounters:
 
 
 def projected_element_count(spec: CoveringArraySpec) -> int:
-    """Total interaction elements of a spec: sum over combinations of the domain product."""
-    if len(set(spec.domains)) == 1:
-        return count_combinations(spec.k, spec.t) * spec.domains[0] ** spec.t
-    total = 0
-    for combo in iter_combinations_stack(spec.k, spec.t):
-        prod = 1
-        for i in combo:
-            prod *= spec.domains[i]
-        total += prod
-    return total
+    """Total interaction elements of a spec: sum over combinations of the domain product.
+
+    That is the t-th elementary symmetric polynomial of the domain sizes, in
+    O(k*t) steps: ``e[j]`` counts the elements of j-combinations of the parameters so far.
+    """
+    e = [1] + [0] * spec.t
+    for d in spec.domains:
+        for j in range(spec.t, 0, -1):
+            e[j] += e[j - 1] * d
+    return e[spec.t]
 
 
 class InteractionStore:
@@ -175,9 +174,7 @@ class InteractionStore:
         raise NotImplementedError
 
     def _checked_row(self, row: RowLike) -> tuple[int, ...]:
-        assignment = as_assignment(row)
-        self.spec.validate_row(assignment)
-        return tuple(assignment)
+        return self.spec.validate_row(as_assignment(row))
 
     def _pack(self, row: RowLike) -> list[int]:
         """Validate the row; return its packed value under each combination, in rank order."""
@@ -323,23 +320,22 @@ class _DirectStore(InteractionStore):
     def coverage_counts(self, rows: Sequence[RowLike]) -> list[int]:
         """:meth:`coverage_count` of every row, scored together. Read-only.
 
-        Raises ``ValueError`` if any row has the wrong length, a value
-        outside its domain, or a value that is not an integer.
+        Raises the ``ValueError`` of :meth:`CoveringArraySpec.validate_row`
+        for the first invalid row.
         """
         np = self._np
         rows = [as_assignment(row) for row in rows]
         if not rows:
             return []
-        if set(map(len, rows)) != {self.spec.k}:
-            for row in rows:
-                self._checked_row(row)  # raises coverage_count's error
-        batch = np.asarray(rows)
-        if batch.ndim != 2 or batch.dtype.kind not in "biu":
-            raise ValueError("rows must be flat sequences of integers")
-        batch = batch.astype(np.intp, copy=False)
-        outside = batch.view(np.uintp) >= self._domain_limits
-        if outside.any():
-            self._checked_row(rows[int(outside.any(axis=1).argmax())])  # raises
+        try:  # the vectorised accept: a (rows x k) integer array inside the domains
+            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
+            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
+                raise ValueError
+            batch = batch.astype(np.intp, copy=False)
+            if (batch.view(np.uintp) >= self._domain_limits).any():
+                raise ValueError
+        except ValueError:  # validate_row decides row by row, and raises for the first bad one
+            batch = np.array([self._checked_row(row) for row in rows], dtype=np.intp)
         chunk = max(1, _DIRECT_CHUNK_ENTRIES // len(self._combos))
         counts: list[int] = []
         for lo in range(0, len(rows), chunk):
@@ -375,11 +371,6 @@ def build_store(
     Raises :class:`CapacityError` before allocating anything if the projected
     element count exceeds ``max_elements``.
     """
-    combos = count_combinations(spec.k, spec.t)
-    if combos > max_elements:
-        # Each combination contributes at least one element; don't even
-        # try to sum the per-combination products.
-        raise CapacityError(combos, max_elements, approximate=True)
     total = projected_element_count(spec)
     if total > max_elements:
         raise CapacityError(total, max_elements)

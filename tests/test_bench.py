@@ -104,9 +104,8 @@ class TestSearchBench:
             run_search_bench(spec, [StoreMechanism.HASH, StoreMechanism.DIRECT])
 
     def test_capacity_error_recorded_per_mechanism(self):
-        spec = CoveringArraySpec.uniform(2, 10, 10)
-        cfg = SearchBenchConfig(max_elements=100)
-        report = run_search_bench(spec, config=cfg)
+        spec = CoveringArraySpec.uniform(3, 60, 10)  # 34,220,000 elements
+        report = run_search_bench(spec)
         for record in report.records:
             assert record.status == "error"
             assert "budget" in record.note

@@ -1,11 +1,14 @@
 """CLI tests: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cakit
 from cakit.cli import main
 
 
@@ -198,9 +201,11 @@ class TestParsing:
 
 
 def test_module_entry_point():
+    # The child process imports the same cakit as these tests, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(cakit.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "cakit", "gen-combos", "--k", "3", "--t", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0,1", "0,2", "1,2"]

@@ -212,3 +212,5 @@ def test_suite_rejects_invalid_rows():
         suite_of(spec, [(0, 0)])
     with pytest.raises(ValueError):
         suite_of(spec, [(0, 0, 2)])
+    with pytest.raises(ValueError):
+        suite_of(spec, [(0, 0.5, 0)])

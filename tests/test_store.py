@@ -7,6 +7,7 @@ computed by the brute-force set arithmetic written inline here.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,26 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_store(spec, StoreMechanism.HASH, max_elements=10_000)
 
+    def test_capacity_error_names_exact_count_of_a_wide_mixed_spec(self):
+        spec = CoveringArraySpec(t=3, k=300, domains=(2, 3) * 150)
+        with pytest.raises(CapacityError, match="would hold 69583000 interaction"):
+            build_store(spec, StoreMechanism.HASH)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8).flatmap(
+        lambda domains: st.tuples(st.integers(min_value=1, max_value=len(domains)), st.just(domains))
+    )
+)
+def test_projected_element_count_matches_brute_force(case):
+    t, domains = case
+    spec = CoveringArraySpec(t=t, k=len(domains), domains=tuple(domains))
+    expected = sum(
+        math.prod(domains[i] for i in combo)
+        for combo in itertools.combinations(range(spec.k), t)
+    )
+    assert projected_element_count(spec) == expected
+
 
 class TestQueries:
     @pytest.mark.parametrize("mech", ALL_MECHS)
@@ -152,12 +173,33 @@ class TestQueries:
         assert store.coverage_count(TestCase((0, 0, 0))) == 3
 
     @pytest.mark.parametrize("mech", ALL_MECHS)
-    @pytest.mark.parametrize("row", [(0, 0), (0, 0, 0, 0), (0, 0, 5)])
+    @pytest.mark.parametrize("row", [(0, 0), (0, 0, 0, 0), (0, 0, 5), (0, 1.0, 0), (0, 0.5, 0)])
     def test_invalid_row_rejected(self, mech, row):
         spec = CoveringArraySpec.uniform(2, 3, 2)
         store = build_store(spec, mech)
         with pytest.raises(ValueError):
             store.coverage_count(row)
+
+    @pytest.mark.parametrize("mech", ALL_MECHS)
+    @pytest.mark.parametrize("row", [(0, 1.0, 0), (0, 0.5, 0), (0, 0, 5)])
+    def test_rejected_mark_changes_nothing(self, mech, row):
+        spec = CoveringArraySpec.uniform(2, 3, 2)
+        store = build_store(spec, mech)
+        with pytest.raises(ValueError):
+            store.mark_covered(row)
+        assert store.remaining() == 12
+        assert store.coverage_count((0, 1, 0)) == 3
+
+    @pytest.mark.parametrize("mech", ALL_MECHS)
+    def test_bool_and_numpy_integer_values_accepted(self, mech):
+        np = pytest.importorskip("numpy")
+        # Strides reach 20, so a uint8 value of 19 packs past uint8's range.
+        spec = CoveringArraySpec(t=2, k=3, domains=(20, 20, 2))
+        store = build_store(spec, mech)
+        assert store.coverage_count((np.int64(3), False, True)) == 3
+        assert store.mark_covered((np.uint8(19), 19, True)) == 3
+        assert store.coverage_count((19, 19, 1)) == 0
+        assert store.remaining() == 400 + 40 + 40 - 3
 
 
 class TestInstrumentation:
