@@ -27,7 +27,7 @@ from .combgen import (
 )
 from .greedy import GreedyConfig, IncompleteCoverageError, generate_ca
 from .model import CoveringArraySpec, read_suite_csv, verify_coverage, write_suite_csv
-from .store import PAPER_MECHANISMS, CapacityError, StoreMechanism
+from .store import CapacityError, StoreMechanism
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -35,17 +35,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 _MECH_NAMES = {mech.value: mech for mech in StoreMechanism}
-# bench-search compares the paper's mechanisms only.
-_BENCH_MECH_NAMES = {mech.value: mech for mech in PAPER_MECHANISMS}
-
-
-def _default_mechanism() -> str:
-    """generate-ca's mechanism when none is given: direct if numpy imports, else hash."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return "hash"
-    return "direct"
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,13 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-ca", help="generate a covering array with the greedy builder")
     p.add_argument("--spec", required=True, help='spec string, e.g. "t=2;k=10;v=10^10"')
-    p.add_argument("--mech", choices=sorted(_MECH_NAMES),
-                   help="store mechanism (default direct when numpy is installed, else hash)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--candidates", type=int, default=50,
-                   help="random candidate rows evaluated per iteration (default 50)")
-    p.add_argument("--max-rows", type=int, default=100_000,
-                   help="iteration safety cap (default 100000)")
+    p.add_argument("--mech", choices=sorted(_MECH_NAMES), default=StoreMechanism.HASH.value,
+                   help="store mechanism (default %(default)s)")
+    p.add_argument("--seed", type=int, default=GreedyConfig.rng_seed)
+    p.add_argument("--candidates", type=int, default=GreedyConfig.candidates_per_row,
+                   help="random candidate rows evaluated per iteration (default %(default)s)")
+    p.add_argument("--max-rows", type=int, default=GreedyConfig.max_rows,
+                   help="iteration safety cap (default %(default)s)")
     p.add_argument("--out", required=True, help="suite CSV path; metadata goes to <out>.meta.json")
 
     p = sub.add_parser("verify-ca", help="check a suite CSV for full interaction coverage")
@@ -86,26 +75,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-gen", help="benchmark streaming combination generation")
     p.add_argument("--k-list", type=_int_list, default=[20, 40, 100, 200, 400],
-                   help="comma-separated parameter counts (default 20,40,100,200,400)")
+                   help="comma-separated parameter counts (default %(default)s)")
     p.add_argument("--t-list", type=_int_list, default=[2, 3, 4, 5, 6],
-                   help="comma-separated strengths (default 2,3,4,5,6)")
+                   help="comma-separated strengths (default %(default)s)")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--budget", type=float, default=120.0, help="per-case seconds (default 120)")
+    p.add_argument("--budget", type=float, default=120.0,
+                   help="per-case seconds (default %(default)s)")
     p.add_argument("--no-nbit", action="store_true", help="skip the n-bit baseline")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     p.add_argument("--csv", dest="csv_path", help="write the CSV report here")
 
     p = sub.add_parser("bench-search", help="benchmark coverage queries across store mechanisms")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mechs", default="hash,indexed,full",
-                   help="comma-separated mechanisms (default hash,indexed,full)")
+    p.add_argument("--mechs", default=",".join(_MECH_NAMES),
+                   help="comma-separated mechanisms (default %(default)s)")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--candidates", type=int, default=10,
-                   help="candidate rows per greedy iteration (default 10)")
-    p.add_argument("--rows", type=int, default=10,
-                   help="greedy iterations measured per mechanism (default 10)")
+    p.add_argument("--seed", type=int, default=SearchBenchConfig.seed)
+    p.add_argument("--candidates", type=int, default=SearchBenchConfig.candidates_per_row,
+                   help="candidate rows per greedy iteration (default %(default)s)")
+    p.add_argument("--rows", type=int, default=SearchBenchConfig.max_rows,
+                   help="greedy iterations measured per mechanism (default %(default)s)")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     p.add_argument("--csv", dest="csv_path", help="write the CSV report here")
 
@@ -138,8 +128,7 @@ def _cmd_gen_combos(args) -> int:
 
 def _cmd_generate_ca(args) -> int:
     spec = CoveringArraySpec.from_string(args.spec)
-    mech_name = args.mech or _default_mechanism()
-    mechanism = _MECH_NAMES[mech_name]
+    mechanism = _MECH_NAMES[args.mech]
     config = GreedyConfig(
         candidates_per_row=args.candidates, rng_seed=args.seed, max_rows=args.max_rows
     )
@@ -157,7 +146,7 @@ def _cmd_generate_ca(args) -> int:
     metadata = {
         "spec": spec.to_string(),
         "seed": args.seed,
-        "mechanism": mech_name,
+        "mechanism": mechanism.value,
         "candidates_per_row": args.candidates,
         "max_rows": args.max_rows,
         "rows": len(suite.rows),
@@ -213,7 +202,7 @@ def _cmd_bench_gen(args) -> int:
 def _cmd_bench_search(args) -> int:
     spec = CoveringArraySpec.from_string(args.spec)
     try:
-        mechanisms = [_BENCH_MECH_NAMES[name.strip()] for name in args.mechs.split(",") if name.strip()]
+        mechanisms = [_MECH_NAMES[name.strip()] for name in args.mechs.split(",") if name.strip()]
     except KeyError as exc:
         raise ValueError(f"unknown mechanism {exc.args[0]!r}") from exc
     if not mechanisms:
@@ -246,8 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OSError, ImportError) as exc:
-        # ImportError: a mechanism whose optional dependency is missing.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,11 +2,11 @@
 
 Each iteration samples a batch of uniform-random candidate rows, scores
 them with the store's coverage query (the fitness function), and keeps the
-best scorer. A store with a batch query (``coverage_counts``) scores the
-whole batch in one call; any other store is asked one ``coverage_count``
-per candidate. The store mechanism changes how fast that scoring runs,
-never which rows get picked, so suites are identical across mechanisms for
-a fixed seed.
+best scorer. A store scores the whole batch in one ``coverage_counts``
+call; anything else standing in for a store, such as a timing proxy, is
+asked one ``coverage_count`` per candidate. How the batch is scored changes
+how fast it runs, never which rows get picked, so suites are identical
+across mechanisms and scoring paths for a fixed seed.
 
 RNG identity: :class:`random.Random`, CPython's Mersenne Twister. Suite
 sizes are reproducible for a given seed within this implementation only.
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .model import CoveringArraySpec, TestCase, TestSuite
-from .store import DEFAULT_MAX_ELEMENTS, InteractionStore, StoreMechanism, build_store
+from .store import InteractionStore, StoreMechanism, build_store
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     budget, which therefore also bounds the row count.
     """
     rng = random.Random(config.rng_seed)
-    score_batch = getattr(store, "coverage_counts", None)
+    # Not an attribute check: a proxy that forwards unknown attributes
+    # must still see, and time, every one-row query.
+    batch = isinstance(store, InteractionStore)
     spec = store.spec
     domains = spec.domains
     rows: list[TestCase] = []
@@ -70,10 +72,7 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
             tuple(rng.randrange(v) for v in domains)
             for _ in range(config.candidates_per_row)
         ]
-        if score_batch is None:
-            gains = map(store.coverage_count, candidates)
-        else:
-            gains = score_batch(candidates)
+        gains = store.coverage_counts(candidates) if batch else map(store.coverage_count, candidates)
         best_row: tuple[int, ...] | None = None
         best_gain = 0
         for candidate, gain in zip(candidates, gains):
@@ -91,9 +90,7 @@ def generate_ca(
     spec: CoveringArraySpec,
     mechanism: StoreMechanism,
     config: GreedyConfig | None = None,
-    *,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> TestSuite:
     """Generate a full covering array for the spec, or raise IncompleteCoverageError."""
-    store = build_store(spec, mechanism, max_elements=max_elements)
+    store = build_store(spec, mechanism)
     return run_greedy(store, config or GreedyConfig())

@@ -49,14 +49,20 @@ class CoveringArraySpec:
         """Parse the compact form ``t=<t>;k=<k>;v=<v1>,<v2>,...``.
 
         A value term ``x^n`` stands for n repetitions of x, so
-        ``t=2;k=10;v=10^10`` is ten parameters with ten values each.
+        ``t=2;k=10;v=10^10`` is ten parameters with ten values each. Each
+        field appears once; any other field is an error.
         """
         fields: dict[str, str] = {}
         for part in text.strip().split(";"):
-            if "=" not in part:
+            key, eq, value = part.partition("=")
+            key = key.strip()
+            if not eq:
                 raise ValueError(f"malformed spec string field {part!r}")
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+            if key not in ("t", "k", "v"):
+                raise ValueError(f"unknown spec string field {key!r}")
+            if key in fields:
+                raise ValueError(f"repeated spec string field {key!r}")
+            fields[key] = value.strip()
         missing = {"t", "k", "v"} - fields.keys()
         if missing:
             raise ValueError(f"spec string missing field(s): {sorted(missing)}")
@@ -71,11 +77,13 @@ class CoveringArraySpec:
             run = _RUN_TERM.match(term)
             if run:
                 value, n = int(run.group(1)), int(run.group(2))
-                domains.extend([value] * n)
             elif term.isdigit():
-                domains.append(int(term))
+                value, n = int(term), 1
             else:
                 raise ValueError(f"malformed domain term {term!r} in spec string")
+            if len(domains) + n > k:  # refused before a long run is expanded
+                raise ValueError(f"expected {k} domain sizes, got at least {len(domains) + n}")
+            domains.extend([value] * n)
         return cls(t=t, k=k, domains=tuple(domains))
 
     def to_string(self) -> str:

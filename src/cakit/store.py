@@ -10,9 +10,11 @@ element with packed value ``p`` of the combination of rank ``r`` sits at
 tombstones: removal clears a flag and nothing is ever moved.
 
 The shared base class owns the layout, the tombstones, the remaining
-count, row validation, packing and element enumeration. Three
-observationally equivalent mechanisms differ only in how a query locates
-the row's elements:
+count, row validation, packing, element enumeration and the batch query
+``coverage_counts``: one gather of ``alive`` at ``base + packed`` for
+many rows, through numpy when it imports. Three observationally
+equivalent mechanisms, the paper's measured subjects, differ only in how
+a query locates the row's elements:
 
 * ``HASH`` - buckets keyed by the parameter combination; each bucket is a
   hashed set of the packed values still uncovered, so a query does one
@@ -24,13 +26,6 @@ the row's elements:
 * ``FULL_SCAN`` - the same flat array, paired with each position's
   combination rank; every query walks all of it.
 
-Those three are the paper's measured subjects. A fourth mechanism,
-``DIRECT``, is an optional accelerator rather than a subject: it reads
-``alive`` through a numpy view and scores a whole batch of rows with one
-gather at ``base + packed``, for callers (the greedy builder) that score
-many candidates against the same store state. It needs numpy, imported
-only when such a store is built, and charges no counter.
-
 Builds are one-shot.
 """
 
@@ -39,7 +34,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import pairwise
-from operator import add
 from typing import Iterator, Sequence
 
 from .combgen import iter_combinations_stack
@@ -50,20 +44,15 @@ from .model import Combination, CoveringArraySpec, InteractionElement, RowLike, 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
 #: Ceiling on the entries of the (rows x combinations) position array that
-#: one DIRECT scoring step builds; bigger batches are scored in row chunks.
+#: one batch gather builds; bigger batches are scored in row chunks.
 #: A single row goes past it only when the combination count does.
-_DIRECT_CHUNK_ENTRIES = 1 << 20
+_GATHER_CHUNK_ENTRIES = 1 << 20
 
 
 class StoreMechanism(enum.Enum):
     HASH = "hash"
     INDEXED = "indexed"
     FULL_SCAN = "full"
-    DIRECT = "direct"
-
-
-#: The mechanisms the paper measures against each other; DIRECT is not one.
-PAPER_MECHANISMS = (StoreMechanism.HASH, StoreMechanism.INDEXED, StoreMechanism.FULL_SCAN)
 
 
 class CapacityError(RuntimeError):
@@ -85,7 +74,8 @@ class StoreCounters:
     ``bucket_lookups`` counts HASH bucket accesses (one per combination per
     call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
-    compared by FULL_SCAN. DIRECT charges neither counter.
+    compared by FULL_SCAN. The batch gather of ``coverage_counts`` charges
+    neither counter.
     """
 
     bucket_lookups: int
@@ -131,6 +121,7 @@ class InteractionStore:
         self._alive = bytearray(b"\x01") * self._remaining
         self._lookups = 0
         self._scanned = 0
+        self._gather: tuple | None = None  # see _gather_tables
 
     @property
     def counters(self) -> StoreCounters:
@@ -143,6 +134,40 @@ class InteractionStore:
     def coverage_count(self, row: RowLike) -> int:
         """How many still-uncovered elements the row covers. Read-only."""
         raise NotImplementedError
+
+    def coverage_counts(self, rows: Sequence[RowLike]) -> list[int]:
+        """:meth:`coverage_count` of every row, scored together. Read-only.
+
+        With numpy it is one gather of ``alive`` at ``base + packed`` for the
+        whole batch, charged to no counter; without numpy each row is one
+        :meth:`coverage_count`. Raises the ``ValueError`` of
+        :meth:`CoveringArraySpec.validate_row` for the first invalid row.
+        """
+        rows = [as_assignment(row) for row in rows]
+        if self._gather is None:
+            self._gather = self._gather_tables()
+        if not rows or not self._gather:
+            return [self.coverage_count(row) for row in rows]
+        np, alive, domain_limits, bases, last_params, slots = self._gather
+        try:  # the vectorised accept: a (rows x k) integer array inside the domains
+            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
+            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
+                raise ValueError
+            batch = batch.astype(np.intp, copy=False)
+            if (batch.view(np.uintp) >= domain_limits).any():
+                raise ValueError
+        except ValueError:  # validate_row decides row by row, and raises for the first bad one
+            batch = np.array([self._checked_row(row) for row in rows], dtype=np.intp)
+        chunk = max(1, _GATHER_CHUNK_ENTRIES // len(self._combos))
+        counts: list[int] = []
+        for lo in range(0, len(rows), chunk):
+            part = batch[lo:lo + chunk]
+            # base + sum over slots of value * stride, for every row and combination
+            positions = bases + part[:, last_params]
+            for params, strides in slots:
+                positions += part[:, params] * strides
+            counts.extend(alive[positions].sum(axis=1).tolist())
+        return counts
 
     def mark_covered(self, row: RowLike) -> int:
         """Remove every uncovered element the row covers; return how many."""
@@ -172,6 +197,27 @@ class InteractionStore:
         there; :meth:`mark_covered` clears their tombstones.
         """
         raise NotImplementedError
+
+    def _gather_tables(self) -> tuple:
+        """numpy and the arrays :meth:`coverage_counts` gathers with; () without numpy.
+
+        Built on the first batch, so building a store never imports numpy.
+        """
+        try:
+            import numpy as np
+        except ImportError:
+            return ()
+        # proj[r, j]: (parameter, stride) of slot j of rank r; the last stride is 1.
+        proj = np.array(self._projections, dtype=np.intp)
+        return (
+            np,
+            np.frombuffer(self._alive, dtype=np.uint8),  # zero-copy: sees every mark
+            np.array(self.spec.domains, dtype=np.uintp),  # unsigned: catches negatives too
+            np.array(self._bases[:-1], dtype=np.intp),
+            np.ascontiguousarray(proj[:, -1, 0]),
+            [(np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
+             for j in range(self.spec.t - 1)],
+        )
 
     def _checked_row(self, row: RowLike) -> tuple[int, ...]:
         return self.spec.validate_row(as_assignment(row))
@@ -287,76 +333,10 @@ class _FullScanStore(InteractionStore):
         ]
 
 
-class _DirectStore(InteractionStore):
-    mechanism = StoreMechanism.DIRECT
-
-    def __init__(self, spec: CoveringArraySpec):
-        try:
-            import numpy as np
-        except ImportError as exc:
-            raise ImportError(
-                "the direct store needs numpy, which is not installed "
-                "(pip install 'cakit[fast]'); the other mechanisms need nothing"
-            ) from exc
-        super().__init__(spec)
-        self._np = np
-        # A zero-copy view: marks clear _alive and the view sees them.
-        self._alive_view = np.frombuffer(self._alive, dtype=np.uint8)
-        # As unsigned limits, one comparison also catches negative values.
-        self._domain_limits = np.array(spec.domains, dtype=np.uintp)
-        # proj[r, j] is (parameter, stride) of slot j of the combination of
-        # rank r. The last slot's stride is always 1.
-        proj = np.array(self._projections, dtype=np.intp)
-        self._slots = [
-            (np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
-            for j in range(spec.t - 1)
-        ]
-        self._last_params = np.ascontiguousarray(proj[:, -1, 0])
-        self._base_array = np.array(self._bases[:-1], dtype=np.intp)
-
-    def coverage_count(self, row: RowLike) -> int:
-        return self.coverage_counts((row,))[0]
-
-    def coverage_counts(self, rows: Sequence[RowLike]) -> list[int]:
-        """:meth:`coverage_count` of every row, scored together. Read-only.
-
-        Raises the ``ValueError`` of :meth:`CoveringArraySpec.validate_row`
-        for the first invalid row.
-        """
-        np = self._np
-        rows = [as_assignment(row) for row in rows]
-        if not rows:
-            return []
-        try:  # the vectorised accept: a (rows x k) integer array inside the domains
-            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
-            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
-                raise ValueError
-            batch = batch.astype(np.intp, copy=False)
-            if (batch.view(np.uintp) >= self._domain_limits).any():
-                raise ValueError
-        except ValueError:  # validate_row decides row by row, and raises for the first bad one
-            batch = np.array([self._checked_row(row) for row in rows], dtype=np.intp)
-        chunk = max(1, _DIRECT_CHUNK_ENTRIES // len(self._combos))
-        counts: list[int] = []
-        for lo in range(0, len(rows), chunk):
-            part = batch[lo:lo + chunk]
-            # base + sum over slots of value * stride, for every row and combination
-            positions = self._base_array + part[:, self._last_params]
-            for params, strides in self._slots:
-                positions += part[:, params] * strides
-            counts.extend(self._alive_view[positions].sum(axis=1).tolist())
-        return counts
-
-    def _take(self, packed: list[int]) -> list[int]:
-        alive = self._alive
-        return [pos for pos in map(add, self._bases, packed) if alive[pos]]
-
-
 _MECHANISMS: dict[StoreMechanism, type[InteractionStore]] = {
     StoreMechanism.HASH: _HashStore,
     StoreMechanism.INDEXED: _IndexedStore,
     StoreMechanism.FULL_SCAN: _FullScanStore,
-    StoreMechanism.DIRECT: _DirectStore,
 }
 
 

@@ -98,11 +98,6 @@ class TestSearchBench:
             assert record.bucket_lookups % per_call == 0
             assert record.bucket_lookups >= record.queries * per_call
 
-    def test_direct_is_not_a_subject(self):
-        spec = CoveringArraySpec(t=2, k=2, domains=(2, 2))
-        with pytest.raises(ValueError, match="direct"):
-            run_search_bench(spec, [StoreMechanism.HASH, StoreMechanism.DIRECT])
-
     def test_capacity_error_recorded_per_mechanism(self):
         spec = CoveringArraySpec.uniform(3, 60, 10)  # 34,220,000 elements
         report = run_search_bench(spec)

@@ -1,7 +1,8 @@
-"""Tests for the DIRECT store's batch query and the greedy's use of it.
+"""Tests for the batch query every store shares and the greedy's use of it.
 
-HASH is the reference: every batch answer must equal HASH's one-row
-``coverage_count`` at the same store state.
+``coverage_counts`` is one direct gather of the tombstones at
+``base + packed``. Each mechanism's own one-row ``coverage_count`` at the
+same store state is the reference, and HASH's stands for all three.
 """
 
 import json
@@ -16,7 +17,7 @@ from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run
 from cakit.model import CoveringArraySpec, TestCase
 from cakit.store import StoreMechanism, build_store
 
-DIRECT = StoreMechanism.DIRECT
+ALL_MECHS = tuple(StoreMechanism)
 
 
 mixed_specs = st.integers(min_value=1, max_value=6).flatmap(
@@ -42,52 +43,91 @@ def spec_and_batches(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_batch_counts_match_hash_with_interleaved_marks(monkeypatch, case, chunk_entries):
     # A small chunk bound makes most batches span several row chunks.
-    monkeypatch.setattr(store_module, "_DIRECT_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", chunk_entries)
     spec, steps = case
-    hash_store = build_store(spec, StoreMechanism.HASH)
-    direct = build_store(spec, DIRECT)
+    reference = build_store(spec, StoreMechanism.HASH)
+    stores = [build_store(spec, mech) for mech in ALL_MECHS]
     for batch, marked in steps:
-        assert direct.coverage_counts(batch) == [hash_store.coverage_count(r) for r in batch]
-        assert direct.mark_covered(marked) == hash_store.mark_covered(marked)
-        assert direct.remaining() == hash_store.remaining()
-    assert list(direct.uncovered_elements()) == list(hash_store.uncovered_elements())
+        expected = [reference.coverage_count(r) for r in batch]
+        for store in stores:
+            assert store.coverage_counts(batch) == expected
+            assert [store.coverage_count(r) for r in batch] == expected
+        taken = reference.mark_covered(marked)
+        for store in stores:
+            assert store.mark_covered(marked) == taken
+            assert store.remaining() == reference.remaining()
+    for store in stores:
+        assert list(store.uncovered_elements()) == list(reference.uncovered_elements())
 
 
 def test_batch_crossing_chunks_on_a_t4_spec(monkeypatch):
     spec = CoveringArraySpec(t=4, k=6, domains=(2, 3, 4, 2, 3, 4))
     rows = [tuple((i * 7 + j * 3) % v for j, v in enumerate(spec.domains)) for i in range(25)]
-    hash_store = build_store(spec, StoreMechanism.HASH)
-    hash_store.mark_covered(rows[3])
-    expected = [hash_store.coverage_count(r) for r in rows]
+    reference = build_store(spec, StoreMechanism.HASH)
+    reference.mark_covered(rows[3])
+    expected = [reference.coverage_count(r) for r in rows]
     for entries in (1, 15, 16, 31, 1 << 20):  # C(6,4) = 15 combinations per row
-        monkeypatch.setattr(store_module, "_DIRECT_CHUNK_ENTRIES", entries)
-        direct = build_store(spec, DIRECT)
-        direct.mark_covered(rows[3])
-        assert direct.coverage_counts(rows) == expected
+        monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", entries)
+        for mech in ALL_MECHS:
+            store = build_store(spec, mech)
+            store.mark_covered(rows[3])
+            assert store.coverage_counts(rows) == expected
 
 
 def test_accepts_test_cases_and_empty_batch():
-    direct = build_store(CoveringArraySpec.uniform(2, 3, 2), DIRECT)
-    assert direct.coverage_counts([]) == []
-    assert direct.coverage_counts([TestCase((0, 0, 0)), [1, 1, 1]]) == [3, 3]
-    assert direct.coverage_count((0, 1, 0)) == 3
+    for mech in ALL_MECHS:
+        store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)
+        assert store.coverage_counts([]) == []
+        assert store.coverage_counts([TestCase((0, 0, 0)), [1, 1, 1]]) == [3, 3]
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (0, 0, 0, 0), (0, 0, 2), (0, -1, 0), (0, 0, 1.0)],
                          ids=["short", "long", "too_big", "negative", "float"])
 def test_batch_validation(bad):
-    direct = build_store(CoveringArraySpec.uniform(2, 3, 2), DIRECT)
-    with pytest.raises(ValueError):
-        direct.coverage_counts([(0, 0, 0), bad, (1, 1, 1)])
-    with pytest.raises(ValueError):
-        direct.coverage_count(bad)
+    for mech in ALL_MECHS:
+        store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)
+        with pytest.raises(ValueError):
+            store.coverage_counts([(0, 0, 0), bad, (1, 1, 1)])
+        with pytest.raises(ValueError):
+            store.coverage_count(bad)
 
 
 def test_keeps_zero_counters():
-    direct = build_store(CoveringArraySpec.uniform(2, 4, 3), DIRECT)
-    direct.coverage_counts([(0, 1, 2, 0)] * 5)
-    direct.mark_covered((0, 1, 2, 0))
-    assert (direct.counters.bucket_lookups, direct.counters.elements_scanned) == (0, 0)
+    for mech in ALL_MECHS:
+        store = build_store(CoveringArraySpec.uniform(2, 4, 3), mech)
+        store.coverage_counts([(0, 1, 2, 0)] * 5)
+        store.coverage_counts([(1, 1, 2, 0)])
+        assert (store.counters.bucket_lookups, store.counters.elements_scanned) == (0, 0)
+
+
+class _CountingProxy:
+    """Times nothing but counts one-row queries; forwards every other attribute.
+
+    Forwarding through ``__getattr__``, as the benchmark's trace proxy does,
+    hands the proxy the store's ``coverage_counts`` too, so only a type check
+    keeps the greedy asking it row by row.
+    """
+
+    def __init__(self, store):
+        self._store = store
+        self.queries = 0
+        self.queries_at_mark: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def coverage_count(self, row):
+        self.queries += 1
+        return self._store.coverage_count(row)
+
+    def mark_covered(self, row):
+        self.queries_at_mark.append(self.queries)
+        return self._store.mark_covered(row)
+
+
+def _per_row_suite(spec, mech, config):
+    """The suite a greedy builds when it scores every candidate with ``coverage_count``."""
+    return run_greedy(_CountingProxy(build_store(spec, mech)), config).rows
 
 
 @pytest.mark.parametrize("spec_text, candidates", [
@@ -98,62 +138,58 @@ def test_keeps_zero_counters():
 ])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_suites_identical_to_hash(spec_text, candidates, seed):
+    # Every mechanism's batch-scored suite equals HASH scored one row at a time.
     spec = CoveringArraySpec.from_string(spec_text)
     config = GreedyConfig(candidates_per_row=candidates, rng_seed=seed)
-    assert generate_ca(spec, DIRECT, config).rows == generate_ca(spec, StoreMechanism.HASH, config).rows
+    expected = _per_row_suite(spec, StoreMechanism.HASH, config)
+    for mech in ALL_MECHS:
+        assert generate_ca(spec, mech, config).rows == expected
 
 
-class _CountingProxy:
-    """Exposes only the one-row query, like the benchmark's timing proxies."""
-
-    def __init__(self, store):
-        self._store = store
-        self.spec = store.spec
-        self.queries = 0
-        self.queries_at_mark: list[int] = []
-
-    def coverage_count(self, row):
-        self.queries += 1
-        return self._store.coverage_count(row)
-
-    def mark_covered(self, row):
-        self.queries_at_mark.append(self.queries)
-        return self._store.mark_covered(row)
-
-    def remaining(self):
-        return self._store.remaining()
-
-
-@pytest.mark.parametrize("mech", [StoreMechanism.HASH, DIRECT])
+@pytest.mark.parametrize("mech", ALL_MECHS)
 def test_one_row_queries_through_a_proxy(mech):
     spec = CoveringArraySpec.uniform(3, 6, 4)
     config = GreedyConfig(candidates_per_row=7, rng_seed=3, max_rows=5)
     proxy = _CountingProxy(build_store(spec, mech))
+    assert callable(proxy.coverage_counts)  # forwarded, yet it must go unused
     with pytest.raises(IncompleteCoverageError) as excinfo:
         run_greedy(proxy, config)
-    # The proxy has no coverage_counts, so every candidate is one call.
     assert proxy.queries == config.candidates_per_row * config.max_rows
     assert [n % config.candidates_per_row for n in proxy.queries_at_mark] == [0] * 5
-    with pytest.raises(IncompleteCoverageError) as direct_run:
-        run_greedy(build_store(spec, DIRECT), config)
-    assert excinfo.value.partial_suite.rows == direct_run.value.partial_suite.rows
+    with pytest.raises(IncompleteCoverageError) as batch_run:
+        run_greedy(build_store(spec, mech), config)
+    assert excinfo.value.partial_suite.rows == batch_run.value.partial_suite.rows
 
 
 class TestWithoutNumpy:
-    def test_build_raises_naming_numpy(self, monkeypatch):
+    @pytest.mark.parametrize("mech", ALL_MECHS)
+    def test_fresh_store_counts_row_by_row(self, monkeypatch, mech):
         monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.raises(ImportError, match="numpy"):
-            build_store(CoveringArraySpec.uniform(2, 3, 2), DIRECT)
+        spec = CoveringArraySpec(t=2, k=4, domains=(2, 3, 4, 3))
+        store = build_store(spec, mech)
+        store.mark_covered((1, 2, 3, 0))
+        rows = [(0, 0, 0, 0), (1, 2, 3, 1), (1, 1, 1, 1)]
+        before = store.counters
+        assert store.coverage_counts(rows) == [6, 3, 6]
+        assert store.counters != before  # charged: the mechanism's own query answered
+        assert store.coverage_counts(rows) == [store.coverage_count(r) for r in rows]
+        with pytest.raises(ValueError):
+            store.coverage_counts([(0, 0, 0, 0), (0, 0, 0, 3)])
 
     def test_cli_default_falls_back_to_hash(self, monkeypatch, capsys, tmp_path):
+        spec = "t=3;k=10;v=5^10"
+        with_numpy = tmp_path / "with.csv"
+        assert main(["generate-ca", "--spec", spec, "--seed", "4", "--out", str(with_numpy)]) == 0
         monkeypatch.setitem(sys.modules, "numpy", None)
         out = tmp_path / "suite.csv"
-        assert main(["generate-ca", "--spec", "t=2;k=3;v=2^3", "--out", str(out)]) == 0
+        assert main(["generate-ca", "--spec", spec, "--seed", "4", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "suite.csv.meta.json").read_text())["mechanism"] == "hash"
+        assert out.read_text() == with_numpy.read_text()
+        assert main(["verify-ca", "--spec", spec, "--suite", str(out)]) == 0
 
     def test_cli_direct_is_a_usage_error(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setitem(sys.modules, "numpy", None)
         code = main(["generate-ca", "--spec", "t=2;k=3;v=2^3", "--mech", "direct",
                      "--out", str(tmp_path / "suite.csv")])
         assert code == 2
-        assert "numpy" in capsys.readouterr().err
+        assert "invalid choice: 'direct'" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,11 +77,27 @@ class TestCoveringArraySpec:
             "t=2;k=3;v=2,2",
             "t=2;k=3;v=2^2,banana",
             "",
+            "t=2;k=3;v=2^3;t=3",
+            "t=2;k=3;v=2^3;v=2^3",
+            "t=2;k=3;v=2^3;x=9",
+            "t=2;k=3;v=2^3;",
+            "t=2;k=3;v=2^4",
+            "t=2;k=3;v=2,2,2,2",
         ],
     )
     def test_unparseable(self, text):
         with pytest.raises(ValueError):
             CoveringArraySpec.from_string(text)
+
+    def test_long_run_refused_before_it_is_expanded(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 3 domain sizes"):
+                CoveringArraySpec.from_string("t=2;k=3;v=2^10000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestCombination:
