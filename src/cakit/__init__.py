@@ -8,7 +8,6 @@ benchmark harness comparing them.
 from .bench import (
     BenchRecord,
     BenchReport,
-    REPORT_JSON_SCHEMA,
     SearchBenchConfig,
     environment_stamp,
     run_generation_bench,
@@ -16,7 +15,7 @@ from .bench import (
 )
 from .combgen import (
     CombinationList,
-    NBIT_MAX_WIDTH,
+    NBIT_MAX_K,
     UnsupportedSizeError,
     count_combinations,
     generate_nbit,
@@ -60,8 +59,7 @@ __all__ = [
     "IncompleteCoverageError",
     "InteractionElement",
     "InteractionStore",
-    "NBIT_MAX_WIDTH",
-    "REPORT_JSON_SCHEMA",
+    "NBIT_MAX_K",
     "SearchBenchConfig",
     "StoreCounters",
     "StoreMechanism",

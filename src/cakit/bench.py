@@ -3,8 +3,8 @@
 Two experiment families:
 
 * generation - wall-time a full streaming pass of the stack generator per
-  (k, t) case, with the n-bit enumerator alongside where its 2^k mask walk
-  is affordable;
+  (k, t) case, with the n-bit enumerator alongside up to its own bound,
+  :data:`cakit.combgen.NBIT_MAX_K`;
 * search - per store mechanism, build the store and drive a seeded,
   row-capped greedy workload, timing every individual coverage query. The
   mechanisms are compared on their median query time (criterion 7's
@@ -13,8 +13,10 @@ Two experiment families:
 Protocol notes, since absolute times are hardware-bound and the point is
 relative ordering: timings use ``time.perf_counter``; warmup passes and
 warmup queries are excluded; generation cases whose combination count is
-too large for the per-case wall-time budget are marked skipped, not
-failed; everything runs strictly sequentially.
+too large for the per-case wall-time budget, and n-bit cases past its
+bound, are marked skipped, not failed; everything runs strictly
+sequentially. Both report formats, JSON and CSV, have the layout of
+:class:`BenchRecord`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import json
 import platform
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .combgen import (
+    UnsupportedSizeError,
     count_combinations,
     iter_combinations_nbit,
     iter_combinations_stack,
@@ -40,61 +43,6 @@ from .store import CapacityError, StoreMechanism, build_store
 #: Conservative streaming-rate guess (combinations/second) used only to
 #: decide up front whether a generation case can fit its wall-time budget.
 PRESKIP_RATE = 250_000
-
-#: Largest k for which the n-bit baseline is attempted; the 2^k mask walk
-#: above this takes longer than any insight it yields.
-DEFAULT_NBIT_MAX_K = 24
-
-CSV_COLUMNS = [
-    "kind", "subject", "status", "k", "t", "v", "reps", "count",
-    "time_min_s", "time_median_s", "time_max_s", "build_s",
-    "rows_built", "queries", "bucket_lookups", "elements_scanned", "note",
-]
-
-#: JSON Schema (draft 2020-12) for serialized reports.
-REPORT_JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["environment", "records"],
-    "properties": {
-        "environment": {
-            "type": "object",
-            "required": ["os", "cpu", "python", "timestamp"],
-            "properties": {
-                "os": {"type": "string"},
-                "cpu": {"type": "string"},
-                "python": {"type": "string"},
-                "timestamp": {"type": "string"},
-            },
-        },
-        "records": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kind", "subject", "status", "k", "t", "reps"],
-                "properties": {
-                    "kind": {"enum": ["generation", "search"]},
-                    "subject": {"enum": ["stack", "nbit", "hash", "indexed", "full"]},
-                    "status": {"enum": ["ok", "skipped", "error"]},
-                    "k": {"type": "integer"},
-                    "t": {"type": "integer"},
-                    "v": {"type": ["string", "null"]},
-                    "reps": {"type": "integer"},
-                    "count": {"type": ["integer", "null"]},
-                    "time_min_s": {"type": ["number", "null"]},
-                    "time_median_s": {"type": ["number", "null"]},
-                    "time_max_s": {"type": ["number", "null"]},
-                    "build_s": {"type": ["number", "null"]},
-                    "rows_built": {"type": ["integer", "null"]},
-                    "queries": {"type": ["integer", "null"]},
-                    "bucket_lookups": {"type": ["integer", "null"]},
-                    "elements_scanned": {"type": ["integer", "null"]},
-                    "note": {"type": ["string", "null"]},
-                },
-            },
-        },
-    },
-}
 
 
 def _cpu_description() -> str:
@@ -119,13 +67,15 @@ def environment_stamp() -> dict[str, str]:
     }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BenchRecord:
+    """One report row. The field order is the column order of both report formats."""
+
     kind: str
     subject: str
+    status: str = "ok"
     k: int
     t: int
-    status: str = "ok"
     v: str | None = None
     reps: int = 0
     count: int | None = None
@@ -140,25 +90,22 @@ class BenchRecord:
     note: str | None = None
 
 
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+
+
 @dataclass
 class BenchReport:
     environment: dict[str, str] = field(default_factory=environment_stamp)
     records: list[BenchRecord] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"environment": dict(self.environment),
-                "records": [asdict(r) for r in self.records]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for record in self.records:
-            row = asdict(record)
-            writer.writerow({col: ("" if row[col] is None else row[col]) for col in CSV_COLUMNS})
+        writer = csv.writer(buf, lineterminator="\n")  # writes None as an empty field
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(astuple(r) for r in self.records)
         return buf.getvalue()
 
     def write_json(self, path: str) -> None:
@@ -223,14 +170,14 @@ def run_generation_bench(
                 continue
             nrecord = BenchRecord(kind="generation", subject="nbit", k=k, t=t)
             report.records.append(nrecord)
-            if k > DEFAULT_NBIT_MAX_K:
-                nrecord.status = "skipped"
-                nrecord.note = f"2^{k} masks exceed the n-bit budget (max k={DEFAULT_NBIT_MAX_K})"
-            else:
+            try:
                 _time_generation_case(
                     nrecord, lambda: iter_combinations_nbit(k, t), total,
                     reps, warmup, budget_s,
                 )
+            except UnsupportedSizeError as exc:  # raised before any mask is walked
+                nrecord.status = "skipped"
+                nrecord.note = str(exc)
     return report
 
 
@@ -290,6 +237,10 @@ class SearchBenchConfig:
     candidates_per_row: int = 10
     max_rows: int = 10
     warmup_queries: int = 3
+
+    def __post_init__(self) -> None:
+        if self.warmup_queries < 0:
+            raise ValueError("warmup_queries must be >= 0")
 
 
 def run_search_bench(

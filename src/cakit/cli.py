@@ -12,14 +12,8 @@ import json
 import sys
 import time
 
-from .bench import (
-    DEFAULT_NBIT_MAX_K,
-    SearchBenchConfig,
-    run_generation_bench,
-    run_search_bench,
-)
+from .bench import SearchBenchConfig, run_generation_bench, run_search_bench
 from .combgen import (
-    NBIT_MAX_WIDTH,
     count_combinations,
     generate_nbit,
     iter_combinations_stack,
@@ -109,14 +103,8 @@ def _cmd_gen_combos(args) -> int:
         return EXIT_OK
     if args.algo == "stack":
         combos = iter_combinations_stack(args.k, args.t)
-    elif args.k > DEFAULT_NBIT_MAX_K:
-        # generate_nbit walks all 2^k masks before it returns anything.
-        raise UnsupportedSizeError(
-            f"n-bit enumeration walks 2^{args.k} masks; gen-combos allows at most "
-            f"k={DEFAULT_NBIT_MAX_K} (hard width limit {NBIT_MAX_WIDTH})"
-        )
-    else:
-        combos = iter(generate_nbit(args.k, args.t))
+    else:  # past its bound, raises before --out is opened
+        combos = generate_nbit(args.k, args.t)
     sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as fh:
         write = fh.write

@@ -6,7 +6,7 @@ Two interchangeable generators are provided:
   bitmasks), and
 * an n-bit enumerator that walks every mask in ``0..2^k-1`` and keeps
   those with exactly ``t`` set bits (the classic baseline; simple but
-  exponential in ``k``).
+  exponential in ``k``, so refused past :data:`NBIT_MAX_K`).
 
 Both produce strictly increasing index tuples; the stack generator emits
 them in lexicographic order directly, the n-bit generator sorts after
@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-#: Hard width limit for n-bit enumeration masks. This is the baseline's
-#: documented limitation, not something to engineer around: past a machine
-#: word the mask walk is hopeless anyway.
-NBIT_MAX_WIDTH = 64
+#: Largest k the n-bit enumerator accepts, the one bound on its Theta(2^k)
+#: mask walk: at the bound the walk takes about a second, and each further
+#: parameter doubles that.
+NBIT_MAX_K = 24
 
 
 class UnsupportedSizeError(ValueError):
-    """n-bit enumeration was asked for more parameters than a machine word holds."""
+    """n-bit enumeration was asked for more than :data:`NBIT_MAX_K` parameters."""
 
 
 def _check_args(k: int, t: int) -> None:
@@ -101,16 +101,13 @@ def iter_combinations_nbit(k: int, t: int) -> Iterator[tuple[int, ...]]:
 
     Yields in mask-enumeration order, which is *not* lexicographic on the
     index tuples; use :func:`generate_nbit` for sorted output. Cost is
-    Theta(2^k) regardless of t, hence the hard width limit.
+    Theta(2^k) regardless of t, so the call itself, before any mask is
+    walked, raises :class:`UnsupportedSizeError` when k > :data:`NBIT_MAX_K`.
     """
     _check_args(k, t)
-    if k > NBIT_MAX_WIDTH:
-        raise UnsupportedSizeError(
-            f"n-bit enumeration supports at most {NBIT_MAX_WIDTH} parameters, got k={k}"
-        )
-    for mask in range(1 << k):
-        if mask.bit_count() == t:
-            yield _mask_to_indices(mask)
+    if k > NBIT_MAX_K:
+        raise UnsupportedSizeError(f"2^{k} masks exceed the n-bit budget (max k={NBIT_MAX_K})")
+    return (_mask_to_indices(mask) for mask in range(1 << k) if mask.bit_count() == t)
 
 
 def generate_nbit(k: int, t: int) -> CombinationList:

@@ -29,7 +29,18 @@ class CoveringArraySpec:
     domains: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "domains", tuple(self.domains))
+        # integers by operator.index, as in validate_row, stored as plain ints
+        try:
+            t, k = operator.index(self.t), operator.index(self.k)
+            domains = tuple(map(operator.index, self.domains))
+        except TypeError:
+            raise ValueError(
+                f"t, k and domain sizes must be integers, got t={self.t!r}, k={self.k!r}, "
+                f"domains={self.domains!r}"
+            ) from None
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "domains", domains)
         if self.t < 1 or self.k < 1 or self.t > self.k:
             raise ValueError(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
         if len(self.domains) != self.k:

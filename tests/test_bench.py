@@ -4,12 +4,10 @@ import csv
 import io
 import json
 
-import jsonschema
 import pytest
 
 from cakit.bench import (
     CSV_COLUMNS,
-    REPORT_JSON_SCHEMA,
     SearchBenchConfig,
     environment_stamp,
     run_generation_bench,
@@ -105,6 +103,10 @@ class TestSearchBench:
             assert record.status == "error"
             assert "budget" in record.note
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_queries"):
+            SearchBenchConfig(warmup_queries=-1)
+
     def test_repetition_stability(self):
         spec = CoveringArraySpec.uniform(2, 4, 3)
         cfg = SearchBenchConfig(candidates_per_row=10, max_rows=10, warmup_queries=3)
@@ -129,7 +131,14 @@ class TestReports:
     def test_json_schema_valid(self):
         report = self._any_report()
         payload = json.loads(report.to_json())
-        jsonschema.validate(payload, REPORT_JSON_SCHEMA)
+        assert list(payload) == ["environment", "records"]
+        assert len(payload["records"]) == len(report.records)
+        for record in payload["records"]:
+            assert list(record) == CSV_COLUMNS
+            # the values the README's report layout documents
+            assert record["kind"] in {"generation", "search"}
+            assert record["subject"] in {"stack", "nbit", "hash", "indexed", "full"}
+            assert record["status"] in {"ok", "skipped", "error"}
 
     def test_environment_stamp_fields(self):
         stamp = environment_stamp()
@@ -138,7 +147,12 @@ class TestReports:
 
     def test_csv_has_header_and_one_line_per_record(self):
         report = self._any_report()
-        rows = list(csv.DictReader(io.StringIO(report.to_csv())))
+        text = report.to_csv()
+        assert text.partition("\n")[0] == (
+            "kind,subject,status,k,t,v,reps,count,time_min_s,time_median_s,time_max_s,"
+            "build_s,rows_built,queries,bucket_lookups,elements_scanned,note"
+        )
+        rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == len(report.records)
         assert list(rows[0]) == CSV_COLUMNS
 
@@ -147,7 +161,7 @@ class TestReports:
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
         report.write_json(str(jpath))
         report.write_csv(str(cpath))
-        jsonschema.validate(json.loads(jpath.read_text()), REPORT_JSON_SCHEMA)
+        assert jpath.read_text() == report.to_json()
         assert cpath.read_text().startswith("kind,")
 
     def test_times_strictly_positive(self):

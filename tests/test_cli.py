@@ -51,7 +51,7 @@ class TestGenCombos:
     def test_nbit_size_limit_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gen-combos", "--k", "70", "--t", "2", "--algo", "nbit")
         assert code == 3
-        assert "64" in err
+        assert "24" in err
 
     def test_nbit_past_walk_bound_exits_3_before_writing(self, capsys, tmp_path):
         path = tmp_path / "combos.txt"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cakit.combgen import (
-    NBIT_MAX_WIDTH,
+    NBIT_MAX_K,
     UnsupportedSizeError,
     count_combinations,
     generate_nbit,
@@ -70,8 +70,8 @@ class TestGenerateNbit:
         assert generate_nbit(1, 1).combos == ((0,),)
 
     def test_width_limit(self):
-        with pytest.raises(UnsupportedSizeError):
-            list(iter_combinations_nbit(NBIT_MAX_WIDTH + 1, 2))
+        with pytest.raises(UnsupportedSizeError, match=f"2\\^{NBIT_MAX_K + 1} masks"):
+            iter_combinations_nbit(NBIT_MAX_K + 1, 2)  # raised by the call, before any iteration
 
     def test_stream_is_mask_order_not_lex(self):
         # 0b0110 -> (1,2) precedes 0b1001 -> (0,3) in mask order

@@ -45,11 +45,22 @@ class TestCoveringArraySpec:
             (2, 3, (2, 2)),
             (2, 3, (2, 2, 0)),
             (1, 0, ()),
+            (2, 3, (2, 2, 2.5)),
+            (2, 3, (2, 2, "3")),
+            (2.0, 3, (2, 2, 2)),
+            (2, 3.0, (2, 2, 2)),
         ],
     )
     def test_invalid(self, t, k, domains):
         with pytest.raises(ValueError):
             CoveringArraySpec(t=t, k=k, domains=domains)
+
+    def test_integer_like_shape_stored_as_ints(self):
+        np = pytest.importorskip("numpy")
+        spec = CoveringArraySpec(t=np.int64(2), k=np.int32(3), domains=(np.uint8(4), True, 2))
+        assert spec == CoveringArraySpec(t=2, k=3, domains=(4, 1, 2))
+        assert all(type(x) is int for x in (spec.t, spec.k, *spec.domains))
+        assert spec.to_string() == "t=2;k=3;v=4,1,2"
 
     def test_uniform(self):
         assert CoveringArraySpec.uniform(2, 10, 10) == CoveringArraySpec.from_string(
