@@ -25,7 +25,6 @@ from .combgen import (
 )
 from .greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
 from .model import (
-    Combination,
     CoveringArraySpec,
     InteractionElement,
     TestCase,
@@ -51,7 +50,6 @@ __all__ = [
     "BenchRecord",
     "BenchReport",
     "CapacityError",
-    "Combination",
     "CombinationList",
     "CoveringArraySpec",
     "DEFAULT_MAX_ELEMENTS",

@@ -148,6 +148,10 @@ def run_generation_bench(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    if not budget_s > 0:
+        raise ValueError("budget_s must be > 0")
     report = BenchReport()
     for k in k_list:
         for t in t_list:
@@ -263,7 +267,7 @@ def run_search_bench(
         report.records.append(record)
         times: list[float] = []
         builds: list[float] = []
-        lookups = scanned = 0
+        lookups = scanned = issued = 0
         try:
             for _ in range(reps):
                 start = time.perf_counter()
@@ -282,6 +286,7 @@ def run_search_bench(
                 except IncompleteCoverageError as exc:
                     # Expected: the row cap exists precisely to bound the workload.
                     record.rows_built = len(exc.partial_suite.rows)
+                issued += len(timed.query_times)
                 times.extend(timed.query_times[cfg.warmup_queries:])
                 lookups += store.counters.bucket_lookups
                 scanned += store.counters.elements_scanned
@@ -296,4 +301,10 @@ def run_search_bench(
         if times:
             _time_stats(record, times)
             record.reps = reps
+        else:
+            record.status = "error"
+            record.note = (
+                f"all {issued} queries issued were discarded as warmup "
+                f"({cfg.warmup_queries} per repetition); none left to time"
+            )
     return report

@@ -1,4 +1,4 @@
-"""Domain model for covering arrays: specs, combinations, rows, suites.
+"""Domain model for covering arrays: specs, interaction elements, rows, suites.
 
 Also houses the coverage-verification oracle and the two on-disk formats
 (suite CSV, compact spec string). Values are 0-based integers throughout;
@@ -15,7 +15,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 _RUN_TERM = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -130,43 +130,11 @@ class CoveringArraySpec:
 
 
 @dataclass(frozen=True)
-class Combination:
-    """Strictly increasing tuple of parameter indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if not self.indices:
-            raise ValueError("combination must select at least one parameter")
-        if self.indices[0] < 0:
-            raise ValueError(f"negative parameter index {self.indices[0]}")
-        for a, b in itertools.pairwise(self.indices):
-            if a >= b:
-                raise ValueError(
-                    f"combination indices must be strictly increasing, got {self.indices}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
-@dataclass(frozen=True)
 class InteractionElement:
-    """A combination plus one concrete value per selected parameter."""
+    """A combination's parameter indices, increasing, plus one value per selected parameter."""
 
-    combo: Combination
+    combo: tuple[int, ...]
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(self.combo):
-            raise ValueError(
-                f"{len(self.values)} values for a {len(self.combo)}-parameter combination"
-            )
 
 
 @dataclass(frozen=True)
@@ -179,17 +147,6 @@ class TestCase:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", tuple(self.assignment))
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-
-RowLike = Union[TestCase, Sequence[int]]
-
-
-def as_assignment(row: RowLike) -> Sequence[int]:
-    """Accept a TestCase or a bare value sequence; return the value sequence."""
-    return row.assignment if isinstance(row, TestCase) else row
 
 
 @dataclass(frozen=True)
@@ -205,9 +162,6 @@ class TestSuite:
         object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
             self.spec.validate_row(row.assignment)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -247,10 +201,9 @@ def verify_coverage(suite: TestSuite) -> VerificationReport:
         total += prod
         covered += len(seen)
         if len(seen) < prod:
-            combo = Combination(indices)
             for values in itertools.product(*(range(domains[i]) for i in indices)):
                 if values not in seen:
-                    missing.append(InteractionElement(combo=combo, values=values))
+                    missing.append(InteractionElement(combo=indices, values=values))
     return VerificationReport(total=total, covered=covered, missing=tuple(missing))
 
 

@@ -37,7 +37,7 @@ from itertools import pairwise
 from typing import Iterator, Sequence
 
 from .combgen import iter_combinations_stack
-from .model import Combination, CoveringArraySpec, InteractionElement, RowLike, as_assignment
+from .model import CoveringArraySpec, InteractionElement
 
 #: Default ceiling on the number of interaction elements a store may hold.
 #: Roughly 1 GiB of worst-case layout; raise it explicitly for bigger runs.
@@ -98,8 +98,6 @@ def projected_element_count(spec: CoveringArraySpec) -> int:
 class InteractionStore:
     """Flat element layout, tombstones and bookkeeping; mechanisms add the lookups."""
 
-    mechanism: StoreMechanism
-
     def __init__(self, spec: CoveringArraySpec):
         self.spec = spec
         domains = spec.domains
@@ -131,11 +129,11 @@ class InteractionStore:
         """Exact count of still-uncovered elements; zero iff full coverage."""
         return self._remaining
 
-    def coverage_count(self, row: RowLike) -> int:
+    def coverage_count(self, row: Sequence[int]) -> int:
         """How many still-uncovered elements the row covers. Read-only."""
         raise NotImplementedError
 
-    def coverage_counts(self, rows: Sequence[RowLike]) -> list[int]:
+    def coverage_counts(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """:meth:`coverage_count` of every row, scored together. Read-only.
 
         With numpy it is one gather of ``alive`` at ``base + packed`` for the
@@ -143,7 +141,6 @@ class InteractionStore:
         :meth:`coverage_count`. Raises the ``ValueError`` of
         :meth:`CoveringArraySpec.validate_row` for the first invalid row.
         """
-        rows = [as_assignment(row) for row in rows]
         if self._gather is None:
             self._gather = self._gather_tables()
         if not rows or not self._gather:
@@ -157,7 +154,7 @@ class InteractionStore:
             if (batch.view(np.uintp) >= domain_limits).any():
                 raise ValueError
         except ValueError:  # validate_row decides row by row, and raises for the first bad one
-            batch = np.array([self._checked_row(row) for row in rows], dtype=np.intp)
+            batch = np.array([self.spec.validate_row(row) for row in rows], dtype=np.intp)
         chunk = max(1, _GATHER_CHUNK_ENTRIES // len(self._combos))
         counts: list[int] = []
         for lo in range(0, len(rows), chunk):
@@ -169,7 +166,7 @@ class InteractionStore:
             counts.extend(alive[positions].sum(axis=1).tolist())
         return counts
 
-    def mark_covered(self, row: RowLike) -> int:
+    def mark_covered(self, row: Sequence[int]) -> int:
         """Remove every uncovered element the row covers; return how many."""
         positions = self._take(self._pack(row))
         alive = self._alive
@@ -182,12 +179,11 @@ class InteractionStore:
         """Yield uncovered elements, combinations lexicographic, values in odometer order."""
         alive, domains = self._alive, self.spec.domains
         for combo, proj, (start, end) in zip(self._combos, self._projections, pairwise(self._bases)):
-            combination = Combination(combo)
             for pos in range(start, end):
                 if alive[pos]:
                     packed = pos - start
                     values = tuple(packed // stride % domains[i] for i, stride in proj)
-                    yield InteractionElement(combo=combination, values=values)
+                    yield InteractionElement(combo=combo, values=values)
 
     def _take(self, packed: list[int]) -> list[int]:
         """Flat positions of the still-uncovered elements among the row's packed values.
@@ -219,12 +215,9 @@ class InteractionStore:
              for j in range(self.spec.t - 1)],
         )
 
-    def _checked_row(self, row: RowLike) -> tuple[int, ...]:
-        return self.spec.validate_row(as_assignment(row))
-
-    def _pack(self, row: RowLike) -> list[int]:
+    def _pack(self, row: Sequence[int]) -> list[int]:
         """Validate the row; return its packed value under each combination, in rank order."""
-        row = self._checked_row(row)
+        row = self.spec.validate_row(row)
         out = []
         for proj in self._projections:
             packed = 0
@@ -242,8 +235,6 @@ class InteractionStore:
 
 
 class _HashStore(InteractionStore):
-    mechanism = StoreMechanism.HASH
-
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
         self._buckets: dict[tuple[int, ...], set[int]] = {
@@ -251,10 +242,10 @@ class _HashStore(InteractionStore):
             for combo, (start, end) in zip(self._combos, pairwise(self._bases))
         }
 
-    def coverage_count(self, row: RowLike) -> int:
+    def coverage_count(self, row: Sequence[int]) -> int:
         # Packs inline: the hottest loop in the package, and a call to
         # _pack per query costs about a quarter more time.
-        row = self._checked_row(row)
+        row = self.spec.validate_row(row)
         buckets = self._buckets
         n = 0
         for combo, proj in zip(self._combos, self._projections):
@@ -280,13 +271,11 @@ class _HashStore(InteractionStore):
 
 
 class _IndexedStore(InteractionStore):
-    mechanism = StoreMechanism.INDEXED
-
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
         self._data = self._flat_packed_values()
 
-    def coverage_count(self, row: RowLike) -> int:
+    def coverage_count(self, row: Sequence[int]) -> int:
         # This _take changes nothing, so it answers queries too.
         return len(self._take(self._pack(row)))
 
@@ -304,8 +293,6 @@ class _IndexedStore(InteractionStore):
 
 
 class _FullScanStore(InteractionStore):
-    mechanism = StoreMechanism.FULL_SCAN
-
     def __init__(self, spec: CoveringArraySpec):
         super().__init__(spec)
         self._data = self._flat_packed_values()
@@ -313,7 +300,7 @@ class _FullScanStore(InteractionStore):
         for rank, (start, end) in enumerate(pairwise(self._bases)):
             self._ranks.extend([rank] * (end - start))
 
-    def coverage_count(self, row: RowLike) -> int:
+    def coverage_count(self, row: Sequence[int]) -> int:
         # Kept apart from _take: walking positions through enumerate makes
         # this loop, the whole cost of a query, much slower.
         targets = self._pack(row)

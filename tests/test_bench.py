@@ -69,6 +69,11 @@ class TestGenerationBench:
         report = run_generation_bench([5], [2], reps=1, warmup=0, include_nbit=False)
         assert not by_subject(report, "nbit")
 
+    @pytest.mark.parametrize("name, value", [("warmup", -2), ("budget_s", 0.0), ("budget_s", -1.0)])
+    def test_negative_warmup_or_budget_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            run_generation_bench([5], [2], reps=1, **{name: value})
+
 
 class TestSearchBench:
     def test_smoke_three_mechanisms(self):
@@ -106,6 +111,15 @@ class TestSearchBench:
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError, match="warmup_queries"):
             SearchBenchConfig(warmup_queries=-1)
+
+    def test_all_queries_discarded_is_an_error(self):
+        spec = CoveringArraySpec.uniform(2, 4, 3)
+        report = run_search_bench(spec, config=SearchBenchConfig(warmup_queries=1000))
+        assert len(report.records) == 3
+        for record in report.records:
+            assert (record.status, record.reps, record.queries) == ("error", 0, 0)
+            assert record.time_median_s is None
+            assert "queries issued were discarded as warmup (1000 per repetition)" in record.note
 
     def test_repetition_stability(self):
         spec = CoveringArraySpec.uniform(2, 4, 3)

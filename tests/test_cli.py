@@ -165,6 +165,13 @@ class TestBenchCommands:
         assert payload["records"][0]["kind"] == "generation"
         assert cpath.read_text().startswith("kind,")
 
+    def test_bench_gen_negative_budget_or_warmup_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench-gen", "--k-list", "5", "--t-list", "2", "--budget", "-1", "--warmup", "-2"
+        )
+        assert (code, out) == (2, "")
+        assert "must be" in err
+
     def test_bench_search_stdout_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench-search", "--spec", "t=2;k=2;v=2,2",
@@ -209,3 +216,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0,1", "0,2", "1,2"]
+
+
+def test_cli_and_one_row_store_calls_never_import_numpy():
+    # numpy's import alone takes longer than all of cakit.cli's, so it waits
+    # for the first batch query.
+    script = "\n".join([
+        "import sys",
+        "import cakit.cli",
+        "from cakit import CoveringArraySpec, StoreMechanism, build_store",
+        "for mech in StoreMechanism:",
+        "    store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)",
+        "    assert store.coverage_count((0, 0, 0)) == 3",
+        "    assert store.mark_covered((0, 1, 0)) == 3",
+        "    assert len(list(store.uncovered_elements())) == 9",
+        "sys.exit('numpy' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cakit.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"

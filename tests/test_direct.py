@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cakit.store as store_module
 from cakit.cli import main
 from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
-from cakit.model import CoveringArraySpec, TestCase
+from cakit.model import CoveringArraySpec
 from cakit.store import StoreMechanism, build_store
 
 ALL_MECHS = tuple(StoreMechanism)
@@ -78,7 +78,7 @@ def test_accepts_test_cases_and_empty_batch():
     for mech in ALL_MECHS:
         store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)
         assert store.coverage_counts([]) == []
-        assert store.coverage_counts([TestCase((0, 0, 0)), [1, 1, 1]]) == [3, 3]
+        assert store.coverage_counts([(0, 0, 0), [1, 1, 1]]) == [3, 3]
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (0, 0, 0, 0), (0, 0, 2), (0, -1, 0), (0, 0, 1.0)],
@@ -93,6 +93,7 @@ def test_batch_validation(bad):
 
 
 def test_keeps_zero_counters():
+    pytest.importorskip("numpy")  # without numpy the batch is charged one-row queries
     for mech in ALL_MECHS:
         store = build_store(CoveringArraySpec.uniform(2, 4, 3), mech)
         store.coverage_counts([(0, 1, 2, 0)] * 5)
