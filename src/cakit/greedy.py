@@ -8,17 +8,38 @@ asked one ``coverage_count`` per candidate. How the batch is scored changes
 how fast it runs, never which rows get picked, so suites are identical
 across mechanisms and scoring paths for a fixed seed.
 
-RNG identity: :class:`random.Random`, CPython's Mersenne Twister. Suite
-sizes are reproducible for a given seed within this implementation only.
+RNG identity: :class:`random.Random`, CPython's Mersenne Twister. Each
+iteration's candidates are exactly
+``[tuple(rng.randrange(v) for v in domains) for _ in range(candidates)]``,
+but decoded from the 32-bit outputs that bulk ``getrandbits`` calls
+return, in stream order, rather than drawn one ``randrange`` at a time.
+``randrange(v)`` reads one output ``w``, takes ``w >> (32 - v.bit_length())``
+and draws again while that is ``>= v``; the decoder applies the same rule
+to the same words. Words drawn past the end of a run are never read, and
+nothing else reads the run's generator, so suites are the same as with
+``randrange``. Suite sizes are reproducible for a given seed within this
+implementation only.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .model import CoveringArraySpec, TestCase, TestSuite
 from .store import InteractionStore, StoreMechanism, build_store
+
+#: Bound on domain sizes: randrange of a bigger one reads more than one
+#: 32-bit output per value, which the decoder does not follow.
+_MAX_DOMAIN = 1 << 32
+
+#: Fewest 32-bit outputs drawn from the generator at once.
+_MIN_DRAW_WORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -28,6 +49,17 @@ class GreedyConfig:
     max_rows: int = 100_000
 
     def __post_init__(self) -> None:
+        # integers by operator.index, as in CoveringArraySpec, stored as plain ints
+        try:
+            candidates = operator.index(self.candidates_per_row)
+            max_rows = operator.index(self.max_rows)
+        except TypeError:
+            raise ValueError(
+                f"candidates_per_row and max_rows must be integers, got "
+                f"candidates_per_row={self.candidates_per_row!r}, max_rows={self.max_rows!r}"
+            ) from None
+        object.__setattr__(self, "candidates_per_row", candidates)
+        object.__setattr__(self, "max_rows", max_rows)
         if self.candidates_per_row < 1:
             raise ValueError("candidates_per_row must be >= 1")
         if self.max_rows < 1:
@@ -46,20 +78,95 @@ class IncompleteCoverageError(RuntimeError):
         )
 
 
+def _draw_words(rng: random.Random, count: int) -> bytes:
+    """The generator's next ``count`` 32-bit outputs, in order, as little-endian bytes."""
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+
+
+def _word_stream(rng: random.Random) -> Iterator[int]:
+    """The generator's 32-bit outputs, one at a time, drawn in bulk."""
+
+    def draw() -> array:
+        words = array("I", _draw_words(rng, _MIN_DRAW_WORDS))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+
+    return chain.from_iterable(iter(draw, None))  # draw never returns None: endless
+
+
+def _candidate_batches(
+    rng: random.Random, domains: Sequence[int], count: int, *, vectorised: bool
+) -> Iterator:
+    """Yield batch after batch of ``count`` candidate rows drawn from ``rng``.
+
+    The rows are, batch after batch, exactly those of
+    ``[tuple(rng.randrange(v) for v in domains) for _ in range(count)]``.
+    With ``vectorised`` set, uniform domains and numpy importable, a batch
+    is a ``(count, k)`` intp ndarray filtered in one step; otherwise it is
+    a list of tuples of plain ints. Every domain must be below 2**32.
+    """
+    if vectorised and len(set(domains)) == 1:
+        try:
+            import numpy as np
+        except ImportError:
+            pass
+        else:
+            return _uniform_array_batches(np, rng, domains[0], len(domains), count)
+    return _tuple_batches(rng, domains, count)
+
+
+def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> Iterator[list]:
+    next_word = _word_stream(rng).__next__
+    plan = [(32 - v.bit_length(), v) for v in domains]
+    while True:
+        rows = []
+        for _ in range(count):
+            row = []
+            for shift, v in plan:
+                x = next_word() >> shift
+                while x >= v:
+                    x = next_word() >> shift
+                row.append(x)
+            rows.append(tuple(row))
+        yield rows
+
+
+def _uniform_array_batches(np, rng: random.Random, v: int, k: int, count: int) -> Iterator:
+    shift = 32 - v.bit_length()
+    need = count * k
+    accepted = np.empty(0, dtype=np.intp)
+    while True:
+        while len(accepted) < need:
+            # at least half of all words are accepted, so two words per value
+            # missing usually suffice
+            words = np.frombuffer(
+                _draw_words(rng, max(_MIN_DRAW_WORDS, 2 * (need - len(accepted)))), dtype="<u4"
+            ) >> shift
+            accepted = np.concatenate((accepted, words[words < v].astype(np.intp)))
+        yield accepted[:need].reshape(count, k)
+        accepted = accepted[need:]
+
+
 def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     """Drive an existing store to full coverage; returns the suite built.
 
     An iteration whose best candidate covers nothing new appends no row
     (otherwise forced suites like k = t would not come out at their exact
     lower bound); it still consumes one unit of the max_rows iteration
-    budget, which therefore also bounds the row count.
+    budget, which therefore also bounds the row count. Raises
+    ``ValueError`` before the first draw if a domain is 2**32 or bigger.
     """
-    rng = random.Random(config.rng_seed)
+    spec = store.spec
+    domains = spec.domains
+    if max(domains) >= _MAX_DOMAIN:
+        raise ValueError(f"domain sizes must be below 2**32 = {_MAX_DOMAIN}, got {max(domains)}")
     # Not an attribute check: a proxy that forwards unknown attributes
     # must still see, and time, every one-row query.
     batch = isinstance(store, InteractionStore)
-    spec = store.spec
-    domains = spec.domains
+    batches = _candidate_batches(
+        random.Random(config.rng_seed), domains, config.candidates_per_row, vectorised=batch
+    )
     rows: list[TestCase] = []
     iterations = 0
     while store.remaining() > 0:
@@ -68,19 +175,17 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
                 TestSuite(spec=spec, rows=tuple(rows)), store.remaining()
             )
         iterations += 1
-        candidates = [
-            tuple(rng.randrange(v) for v in domains)
-            for _ in range(config.candidates_per_row)
-        ]
+        candidates = next(batches)
         gains = store.coverage_counts(candidates) if batch else map(store.coverage_count, candidates)
-        best_row: tuple[int, ...] | None = None
+        best = -1
         best_gain = 0
-        for candidate, gain in zip(candidates, gains):
+        for i, gain in enumerate(gains):
             if gain > best_gain:
                 best_gain = gain
-                best_row = candidate
-        if best_row is None:
+                best = i
+        if best < 0:
             continue
+        best_row = tuple(map(int, candidates[best]))
         store.mark_covered(best_row)
         rows.append(TestCase(best_row))
     return TestSuite(spec=spec, rows=tuple(rows))

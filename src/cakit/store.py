@@ -136,14 +136,16 @@ class InteractionStore:
     def coverage_counts(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """:meth:`coverage_count` of every row, scored together. Read-only.
 
-        With numpy it is one gather of ``alive`` at ``base + packed`` for the
-        whole batch, charged to no counter; without numpy each row is one
-        :meth:`coverage_count`. Raises the ``ValueError`` of
-        :meth:`CoveringArraySpec.validate_row` for the first invalid row.
+        ``rows`` is a sequence of rows or a 2-D integer ndarray of shape
+        (rows, k). With numpy it is one gather of ``alive`` at
+        ``base + packed`` for the whole batch, charged to no counter;
+        without numpy each row is one :meth:`coverage_count`. Raises the
+        ``ValueError`` of :meth:`CoveringArraySpec.validate_row` for the
+        first invalid row.
         """
         if self._gather is None:
             self._gather = self._gather_tables()
-        if not rows or not self._gather:
+        if len(rows) == 0 or not self._gather:
             return [self.coverage_count(row) for row in rows]
         np, alive, domain_limits, bases, last_params, slots = self._gather
         try:  # the vectorised accept: a (rows x k) integer array inside the domains

@@ -220,16 +220,20 @@ def test_module_entry_point():
 
 def test_cli_and_one_row_store_calls_never_import_numpy():
     # numpy's import alone takes longer than all of cakit.cli's, so it waits
-    # for the first batch query.
+    # for the first batch query; a greedy that scores row by row never asks one.
     script = "\n".join([
         "import sys",
         "import cakit.cli",
-        "from cakit import CoveringArraySpec, StoreMechanism, build_store",
+        "from cakit import CoveringArraySpec, GreedyConfig, StoreMechanism, build_store, run_greedy",
+        "class Proxy:",
+        "    def __init__(self, store): self._store = store",
+        "    def __getattr__(self, name): return getattr(self._store, name)",
         "for mech in StoreMechanism:",
         "    store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)",
         "    assert store.coverage_count((0, 0, 0)) == 3",
         "    assert store.mark_covered((0, 1, 0)) == 3",
         "    assert len(list(store.uncovered_elements())) == 9",
+        "    run_greedy(Proxy(build_store(CoveringArraySpec.uniform(2, 4, 3), mech)), GreedyConfig())",
         "sys.exit('numpy' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cakit.__file__).resolve().parents[1])}

@@ -92,6 +92,24 @@ def test_batch_validation(bad):
             store.coverage_count(bad)
 
 
+def test_ndarray_batch_equals_list_batch():
+    np = pytest.importorskip("numpy")
+    spec = CoveringArraySpec(t=3, k=5, domains=(3, 3, 3, 3, 3))
+    rows = [tuple((i * 5 + j * 2) % 3 for j in range(5)) for i in range(20)]
+    for mech in ALL_MECHS:
+        store = build_store(spec, mech)
+        store.mark_covered(rows[0])
+        expected = store.coverage_counts(rows)
+        for dtype in (np.intp, np.int32, np.uint8):
+            assert store.coverage_counts(np.array(rows, dtype=dtype)) == expected
+        assert store.coverage_counts(np.empty((0, 5), dtype=np.intp)) == []
+        for bad in (-1, 3):
+            batch = np.array(rows, dtype=np.intp)
+            batch[7, 2] = bad
+            with pytest.raises(ValueError, match="domain"):
+                store.coverage_counts(batch)
+
+
 def test_keeps_zero_counters():
     pytest.importorskip("numpy")  # without numpy the batch is charged one-row queries
     for mech in ALL_MECHS:

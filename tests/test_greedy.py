@@ -1,10 +1,20 @@
 """Tests for the greedy covering-array builder."""
 
-import pytest
+import contextlib
+import hashlib
+import json
+import random
+import sys
+from unittest import mock
 
-from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca
-from cakit.model import CoveringArraySpec, verify_coverage
-from cakit.store import StoreMechanism
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cakit.greedy as greedy_module
+from cakit.cli import main
+from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
+from cakit.model import CoveringArraySpec, TestCase, verify_coverage
+from cakit.store import StoreMechanism, build_store
 
 ALL_MECHS = tuple(StoreMechanism)
 
@@ -68,7 +78,182 @@ def test_single_value_domains():
     assert verify_coverage(suite).is_complete
 
 
-@pytest.mark.parametrize("bad", [dict(candidates_per_row=0), dict(max_rows=0)])
+@pytest.mark.parametrize("bad", [
+    dict(candidates_per_row=0), dict(max_rows=0),
+    dict(candidates_per_row=2.5), dict(max_rows="10"), dict(max_rows=None),
+])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         GreedyConfig(**bad)
+
+
+class _Index:
+    """An integer that is not an int: accepted wherever operator.index is."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_config_holds_plain_ints():
+    cfg = GreedyConfig(candidates_per_row=_Index(7), max_rows=True)
+    assert (cfg.candidates_per_row, cfg.max_rows) == (7, 1)
+    assert type(cfg.candidates_per_row) is int and type(cfg.max_rows) is int
+
+
+def test_domains_past_32_bits_refused_before_any_draw():
+    class Store:  # a store this big would hold over 4 G elements; only spec is read
+        spec = CoveringArraySpec(t=1, k=2, domains=(2, 2**32))
+
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        run_greedy(Store(), GreedyConfig())
+
+
+# -- candidate sampling: bulk 32-bit words decoded into randrange's rows ------
+
+# randrange(v) reads one 32-bit word per try for every v below 2**32. At the
+# edges: v = 1 and powers of two reject half the words, and the words of
+# 2**31 and 2**32 - 1 are not shifted at all.
+_EDGE_DOMAINS = [1, 2, 3, 60, 2**31, 2**32 - 1]
+_domain = st.one_of(st.sampled_from(_EDGE_DOMAINS), st.integers(min_value=1, max_value=2**32 - 1))
+_domains = st.one_of(
+    st.tuples(_domain, st.integers(min_value=1, max_value=6)).map(lambda vk: (vk[0],) * vk[1]),
+    st.lists(_domain, min_size=1, max_size=6).map(tuple),
+)
+
+
+def _without_numpy(blocked):
+    return mock.patch.dict(sys.modules, {"numpy": None}) if blocked else contextlib.nullcontext()
+
+
+def _oracle_batches(seed, domains, count, iterations):
+    rng = random.Random(seed)
+    return [
+        [tuple(rng.randrange(v) for v in domains) for _ in range(count)]
+        for _ in range(iterations)
+    ]
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True], ids=["numpy", "no_numpy"])
+@pytest.mark.parametrize("vectorised", [True, False], ids=["batch", "one_row"])
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    domains=_domains,
+    count=st.integers(min_value=1, max_value=30),
+    iterations=st.integers(min_value=1, max_value=25),
+    draw_words=st.integers(min_value=1, max_value=64),
+)
+@settings(max_examples=60, deadline=None)
+def test_candidates_are_randrange_rows(numpy_blocked, vectorised, seed, domains, count,
+                                       iterations, draw_words):
+    # A small draw size makes every run refill its word buffer many times,
+    # often in the middle of a row.
+    expected = _oracle_batches(seed, domains, count, iterations)
+    with _without_numpy(numpy_blocked), \
+            mock.patch.object(greedy_module, "_MIN_DRAW_WORDS", draw_words):
+        batches = greedy_module._candidate_batches(
+            random.Random(seed), domains, count, vectorised=vectorised
+        )
+        got = [next(batches) for _ in range(iterations)]
+        try:
+            import numpy as np
+        except ImportError:
+            np = None
+        if vectorised and np is not None and len(set(domains)) == 1:
+            assert all(b.dtype == np.intp and b.shape == (count, len(domains)) for b in got)
+            got = [[tuple(row) for row in b.tolist()] for b in got]
+        assert all(type(x) is int for b in got for row in b for x in row)
+    assert got == expected
+
+
+class _ForwardingProxy:
+    """Forwards every attribute, coverage_counts included, as a timing proxy does."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
+def _oracle_greedy(spec, config):
+    """The greedy with one randrange per value and one-row queries: the rows to expect."""
+    store = build_store(spec, StoreMechanism.HASH)
+    rng = random.Random(config.rng_seed)
+    rows = []
+    for _ in range(config.max_rows):
+        if not store.remaining():
+            break
+        candidates = [
+            tuple(rng.randrange(v) for v in spec.domains) for _ in range(config.candidates_per_row)
+        ]
+        gains = [store.coverage_count(c) for c in candidates]
+        if max(gains) > 0:
+            best = candidates[gains.index(max(gains))]
+            store.mark_covered(best)
+            rows.append(TestCase(best))
+    return tuple(rows)
+
+
+_small_specs = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.tuples(
+        st.integers(min_value=1, max_value=min(k, 3)),
+        st.just(k),
+        st.one_of(
+            st.integers(min_value=1, max_value=5).map(lambda v: [v] * k),
+            st.lists(st.sampled_from([1, 2, 3, 5, 9]), min_size=k, max_size=k),
+        ),
+    )
+).map(lambda tkd: CoveringArraySpec(t=tkd[0], k=tkd[1], domains=tuple(tkd[2])))
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True], ids=["numpy", "no_numpy"])
+@given(
+    spec=_small_specs,
+    seed=st.integers(min_value=0, max_value=2**32),
+    candidates=st.integers(min_value=1, max_value=12),
+    mech=st.sampled_from(ALL_MECHS),
+)
+@settings(max_examples=40, deadline=None)
+def test_greedy_picks_the_oracle_rows(numpy_blocked, spec, seed, candidates, mech):
+    config = GreedyConfig(candidates_per_row=candidates, rng_seed=seed, max_rows=400)
+    expected = _oracle_greedy(spec, config)
+    with _without_numpy(numpy_blocked):
+        for store in (build_store(spec, mech), _ForwardingProxy(build_store(spec, mech))):
+            try:
+                rows = run_greedy(store, config).rows
+            except IncompleteCoverageError as exc:
+                rows = exc.partial_suite.rows
+            assert rows == expected
+            assert all(type(x) is int for row in rows for x in row.assignment)
+
+
+# sha256 of generate-ca's suite CSV, computed with one randrange call per value.
+_GOLDEN_SUITES = {
+    ("t=3;k=10;v=5^10", (), 1): "75df9a2aa0e940c632b54a98de00c40276e5a67a0d367040b8bcc110e3405826",
+    ("t=3;k=10;v=5^10", (), 2): "19c119fb9efc1048143f55e3cad0ba6bdb1ec8549d4349327dc99fd43781ae44",
+    ("t=3;k=10;v=5^10", (), 3): "d660dc5a72d998c93c63cac469e53e5cbb1e3b31fd988f3f5031a85fbec5e357",
+    ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 1):
+        "601c7fcb3a277d3cff3b077b058c370487061c70108286f2d17ca0cf4fc4172b",
+    ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 2):
+        "215821d10c493d06aac603f3fd105a8d75e3182f366bfa92a15e4d737c5f727f",
+    ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 3):
+        "5c47eb2adbc33a9bae26e9c4ead21c68757a838cf06e468626fc4d4fe76cd81c",
+}
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True], ids=["numpy", "no_numpy"])
+@pytest.mark.parametrize("spec, extra, seed, digest",
+                         [(*key, digest) for key, digest in _GOLDEN_SUITES.items()],
+                         ids=[f"{key[0]}-seed{key[2]}" for key in _GOLDEN_SUITES])
+def test_generate_ca_suites_match_golden_digests(tmp_path, capsys, numpy_blocked,
+                                                 spec, extra, seed, digest):
+    out = tmp_path / "suite.csv"
+    with _without_numpy(numpy_blocked):
+        code = main(["generate-ca", "--spec", spec, "--seed", str(seed), *extra, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    meta = json.loads((tmp_path / "suite.csv.meta.json").read_text())
+    assert meta["rng"] == "random.Random (CPython Mersenne Twister)"
