@@ -2,11 +2,15 @@
 
 Each iteration samples a batch of uniform-random candidate rows, scores
 them with the store's coverage query (the fitness function), and keeps the
-best scorer. A store scores the whole batch in one ``coverage_counts``
-call; anything else standing in for a store, such as a timing proxy, is
-asked one ``coverage_count`` per candidate. How the batch is scored changes
-how fast it runs, never which rows get picked, so suites are identical
-across mechanisms and scoring paths for a fixed seed.
+best scorer: the first one of maximal gain, if that gain is above 0. On a
+store with numpy, a block of iterations' candidates is checked and turned
+into flat positions at once; each iteration then gathers the tombstones at
+its own positions and marks its winner from them. Anything else standing
+in for a store, such as a timing proxy, and any store without numpy, is
+asked one ``coverage_count`` per candidate and one ``mark_covered`` per
+winner. How the batch is scored changes how fast it runs, never which rows
+get picked, so suites are identical across mechanisms and scoring paths
+for a fixed seed.
 
 RNG identity: :class:`random.Random`, CPython's Mersenne Twister. Each
 iteration's candidates are exactly
@@ -32,6 +36,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .model import CoveringArraySpec, TestCase, TestSuite
+from . import store as _store
 from .store import InteractionStore, StoreMechanism, build_store
 
 #: Bound on domain sizes: randrange of a bigger one reads more than one
@@ -148,6 +153,65 @@ def _uniform_array_batches(np, rng: random.Random, v: int, k: int, count: int) -
         accepted = accepted[need:]
 
 
+def _one_row_picks(store, batches: Iterator) -> Iterator[tuple[int, ...] | None]:
+    """Per iteration, score each candidate with ``coverage_count`` and mark the best.
+
+    Yields the winner, or None when no candidate covers anything new.
+    """
+    for candidates in batches:
+        best = None
+        best_gain = 0
+        for row in candidates:
+            gain = store.coverage_count(row)
+            if gain > best_gain:
+                best_gain = gain
+                best = row
+        if best is not None:
+            store.mark_covered(best)
+        yield best
+
+
+def _block_picks(
+    store: InteractionStore, rng: random.Random, count: int
+) -> Iterator[tuple[int, ...] | None]:
+    """:func:`_one_row_picks` for a store whose batch path has numpy.
+
+    Candidates never depend on store state, so a block of iterations is
+    decoded, checked and turned into flat positions at once. Each
+    iteration then gathers ``alive`` at its own positions, which sees every
+    earlier mark, and marks its winner from positions already known. A
+    block's candidate and position arrays hold at most
+    ``max(_GATHER_CHUNK_ENTRIES, C(k, t))`` entries; an iteration too big
+    for one block is scored in row chunks by ``coverage_counts``.
+    """
+    alive = store._tables()[1]
+    domains = store.spec.domains
+    entries = _store._GATHER_CHUNK_ENTRIES
+    width = max(len(store._combos), len(domains))  # entries per row in a block's arrays
+    iterations = max(1, entries // (count * width))
+    for block in _candidate_batches(rng, domains, iterations * count, vectorised=True):
+        batch = store._accept(block)
+        if count * width > entries:  # one oversized iteration
+            gains = store.coverage_counts(batch)
+            best_gain = max(gains)
+            best = gains.index(best_gain)
+            if best_gain:
+                store._mark_positions(store._positions(batch[best:best + 1])[0])
+                yield tuple(batch[best].tolist())
+            else:
+                yield None
+            continue
+        positions = store._positions(batch).reshape(iterations, count, -1)
+        for candidates, pos in zip(batch.reshape(iterations, count, -1), positions):
+            gains = alive[pos].sum(axis=1)
+            best = gains.argmax()  # the first maximal gain
+            if gains[best]:
+                store._mark_positions(pos[best])
+                yield tuple(candidates[best].tolist())
+            else:
+                yield None
+
+
 def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     """Drive an existing store to full coverage; returns the suite built.
 
@@ -161,12 +225,14 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     domains = spec.domains
     if max(domains) >= _MAX_DOMAIN:
         raise ValueError(f"domain sizes must be below 2**32 = {_MAX_DOMAIN}, got {max(domains)}")
+    rng = random.Random(config.rng_seed)
+    count = config.candidates_per_row
     # Not an attribute check: a proxy that forwards unknown attributes
-    # must still see, and time, every one-row query.
-    batch = isinstance(store, InteractionStore)
-    batches = _candidate_batches(
-        random.Random(config.rng_seed), domains, config.candidates_per_row, vectorised=batch
-    )
+    # must still see, and time, every one-row query and mark.
+    if isinstance(store, InteractionStore) and store._tables():
+        picks = _block_picks(store, rng, count)
+    else:
+        picks = _one_row_picks(store, _candidate_batches(rng, domains, count, vectorised=False))
     rows: list[TestCase] = []
     iterations = 0
     while store.remaining() > 0:
@@ -175,19 +241,9 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
                 TestSuite(spec=spec, rows=tuple(rows)), store.remaining()
             )
         iterations += 1
-        candidates = next(batches)
-        gains = store.coverage_counts(candidates) if batch else map(store.coverage_count, candidates)
-        best = -1
-        best_gain = 0
-        for i, gain in enumerate(gains):
-            if gain > best_gain:
-                best_gain = gain
-                best = i
-        if best < 0:
-            continue
-        best_row = tuple(map(int, candidates[best]))
-        store.mark_covered(best_row)
-        rows.append(TestCase(best_row))
+        best_row = next(picks)
+        if best_row is not None:
+            rows.append(TestCase(best_row))
     return TestSuite(spec=spec, rows=tuple(rows))
 
 

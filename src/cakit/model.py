@@ -224,7 +224,7 @@ def read_suite_csv(path: str, spec: CoveringArraySpec) -> TestSuite:
             if not line:
                 continue
             try:
-                values = tuple(int(x) for x in line.split(","))
+                values = tuple(map(int, line.split(",")))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer cell") from exc
             try:

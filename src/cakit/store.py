@@ -12,7 +12,9 @@ tombstones: removal clears a flag and nothing is ever moved.
 The shared base class owns the layout, the tombstones, the remaining
 count, row validation, packing, element enumeration and the batch query
 ``coverage_counts``: one gather of ``alive`` at ``base + packed`` for
-many rows, through numpy when it imports. Three observationally
+many rows, through numpy when it imports. The greedy builder's block path
+uses the same numpy helpers to check a batch, compute its flat positions
+and mark a winner from its positions. Three observationally
 equivalent mechanisms, the paper's measured subjects, differ only in how
 a query locates the row's elements:
 
@@ -45,8 +47,10 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 
 #: Ceiling on the entries of the (rows x combinations) position array that
 #: one batch gather builds; bigger batches are scored in row chunks.
-#: A single row goes past it only when the combination count does.
-_GATHER_CHUNK_ENTRIES = 1 << 20
+#: A single row goes past it only when the combination count does. The
+#: greedy also sizes its blocks of iterations by it; small enough that a
+#: block's arrays stay in cache.
+_GATHER_CHUNK_ENTRIES = 1 << 13
 
 
 class StoreMechanism(enum.Enum):
@@ -74,8 +78,10 @@ class StoreCounters:
     ``bucket_lookups`` counts HASH bucket accesses (one per combination per
     call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
-    compared by FULL_SCAN. The batch gather of ``coverage_counts`` charges
-    neither counter.
+    compared by FULL_SCAN. One-row queries and marks charge them; the batch
+    gather of ``coverage_counts`` and the greedy's block gathers and
+    position marks charge neither, so a greedy run on a store with numpy
+    leaves both at 0.
     """
 
     bucket_lookups: int
@@ -119,7 +125,7 @@ class InteractionStore:
         self._alive = bytearray(b"\x01") * self._remaining
         self._lookups = 0
         self._scanned = 0
-        self._gather: tuple | None = None  # see _gather_tables
+        self._gather: tuple | None = None  # see _tables
 
     @property
     def counters(self) -> StoreCounters:
@@ -143,29 +149,15 @@ class InteractionStore:
         ``ValueError`` of :meth:`CoveringArraySpec.validate_row` for the
         first invalid row.
         """
-        if self._gather is None:
-            self._gather = self._gather_tables()
-        if len(rows) == 0 or not self._gather:
+        tables = self._tables()
+        if len(rows) == 0 or not tables:
             return [self.coverage_count(row) for row in rows]
-        np, alive, domain_limits, bases, last_params, slots = self._gather
-        try:  # the vectorised accept: a (rows x k) integer array inside the domains
-            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
-            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
-                raise ValueError
-            batch = batch.astype(np.intp, copy=False)
-            if (batch.view(np.uintp) >= domain_limits).any():
-                raise ValueError
-        except ValueError:  # validate_row decides row by row, and raises for the first bad one
-            batch = np.array([self.spec.validate_row(row) for row in rows], dtype=np.intp)
+        alive = tables[1]
+        batch = self._accept(rows)
         chunk = max(1, _GATHER_CHUNK_ENTRIES // len(self._combos))
         counts: list[int] = []
-        for lo in range(0, len(rows), chunk):
-            part = batch[lo:lo + chunk]
-            # base + sum over slots of value * stride, for every row and combination
-            positions = bases + part[:, last_params]
-            for params, strides in slots:
-                positions += part[:, params] * strides
-            counts.extend(alive[positions].sum(axis=1).tolist())
+        for lo in range(0, len(batch), chunk):
+            counts.extend(alive[self._positions(batch[lo:lo + chunk])].sum(axis=1).tolist())
         return counts
 
     def mark_covered(self, row: Sequence[int]) -> int:
@@ -196,26 +188,78 @@ class InteractionStore:
         """
         raise NotImplementedError
 
-    def _gather_tables(self) -> tuple:
-        """numpy and the arrays :meth:`coverage_counts` gathers with; () without numpy.
+    def _tables(self) -> tuple:
+        """numpy and the arrays the batch path gathers with; () without numpy.
 
-        Built on the first batch, so building a store never imports numpy.
+        Built on first use, so building a store never imports numpy.
         """
+        if self._gather is not None:
+            return self._gather
         try:
             import numpy as np
         except ImportError:
-            return ()
+            self._gather = ()
+            return self._gather
         # proj[r, j]: (parameter, stride) of slot j of rank r; the last stride is 1.
         proj = np.array(self._projections, dtype=np.intp)
-        return (
+        self._gather = (
             np,
-            np.frombuffer(self._alive, dtype=np.uint8),  # zero-copy: sees every mark
+            np.frombuffer(self._alive, dtype=np.uint8),  # zero-copy: sees and makes every mark
             np.array(self.spec.domains, dtype=np.uintp),  # unsigned: catches negatives too
             np.array(self._bases[:-1], dtype=np.intp),
             np.ascontiguousarray(proj[:, -1, 0]),
             [(np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
              for j in range(self.spec.t - 1)],
         )
+        return self._gather
+
+    def _accept(self, rows):
+        """A non-empty batch of rows as a (rows x k) intp ndarray inside the domains.
+
+        One vectorised check; raises the ``ValueError`` of
+        :meth:`CoveringArraySpec.validate_row` for the first invalid row.
+        Needs :meth:`_tables` to have found numpy.
+        """
+        np, _, domain_limits = self._gather[:3]
+        try:
+            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
+            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
+                raise ValueError
+            batch = batch.astype(np.intp, copy=False)
+            if (batch.view(np.uintp) >= domain_limits).any():
+                raise ValueError
+        except ValueError:  # validate_row decides row by row, and raises for the first bad one
+            batch = np.array([self.spec.validate_row(row) for row in rows], dtype=np.intp)
+        return batch
+
+    def _positions(self, batch):
+        """Flat positions of an accepted batch: (rows x combinations), ranks in order."""
+        bases, last_params, slots = self._gather[3:]
+        # base + sum over slots of value * stride, for every row and combination
+        positions = batch.take(last_params, axis=1)
+        positions += bases
+        for params, strides in slots:
+            part = batch.take(params, axis=1)
+            part *= strides
+            positions += part
+        return positions
+
+    def _mark_positions(self, positions) -> int:
+        """:meth:`mark_covered` of one row given by its :meth:`_positions`; charges no counter."""
+        alive = self._gather[1]
+        ranks = alive[positions].nonzero()[0]
+        live = positions[ranks]
+        alive[live] = 0
+        self._drop(ranks, live)
+        self._remaining -= len(live)
+        return len(live)
+
+    def _drop(self, ranks, live) -> None:
+        """Drop newly covered elements from any index kept apart from ``_alive``.
+
+        They are given by combination rank and flat position. INDEXED and
+        FULL_SCAN keep no such index.
+        """
 
     def _pack(self, row: Sequence[int]) -> list[int]:
         """Validate the row; return its packed value under each combination, in rank order."""
@@ -270,6 +314,11 @@ class _HashStore(InteractionStore):
                 taken.append(base + p)
         self._lookups += len(self._combos)
         return taken
+
+    def _drop(self, ranks, live) -> None:
+        buckets, combos, bases = self._buckets, self._combos, self._bases
+        for rank, pos in zip(ranks.tolist(), live.tolist()):
+            buckets[combos[rank]].remove(pos - bases[rank])
 
 
 class _IndexedStore(InteractionStore):

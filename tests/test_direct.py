@@ -2,11 +2,15 @@
 
 ``coverage_counts`` is one direct gather of the tombstones at
 ``base + packed``. Each mechanism's own one-row ``coverage_count`` at the
-same store state is the reference, and HASH's stands for all three.
+same store state is the reference, and HASH's stands for all three. The
+greedy's block path marks its winners from their flat positions; the
+one-row ``mark_covered`` is the reference for that mark.
 """
 
 import json
+import math
 import sys
+from itertools import pairwise
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,9 +19,21 @@ import cakit.store as store_module
 from cakit.cli import main
 from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
 from cakit.model import CoveringArraySpec
-from cakit.store import StoreMechanism, build_store
+from cakit.store import InteractionStore, StoreMechanism, build_store
 
 ALL_MECHS = tuple(StoreMechanism)
+
+
+def _numpy_importable() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+# The position mark and the greedy's block path exist only where numpy imports.
+needs_numpy = pytest.mark.skipif(not _numpy_importable(), reason="numpy is not importable")
 
 
 mixed_specs = st.integers(min_value=1, max_value=6).flatmap(
@@ -178,6 +194,101 @@ def test_one_row_queries_through_a_proxy(mech):
     with pytest.raises(IncompleteCoverageError) as batch_run:
         run_greedy(build_store(spec, mech), config)
     assert excinfo.value.partial_suite.rows == batch_run.value.partial_suite.rows
+
+
+def _mark_by_positions(store, row):
+    """The greedy block path's mark: the row's flat positions, then one position mark."""
+    store._tables()
+    return store._mark_positions(store._positions(store._accept([row]))[0])
+
+
+def _assert_consistent(store):
+    """``remaining()`` counts the live tombstones; HASH's buckets hold exactly the live packed values."""
+    alive = store._alive
+    assert store.remaining() == sum(alive)
+    if isinstance(store, store_module._HashStore):
+        for combo, (start, end) in zip(store._combos, pairwise(store._bases)):
+            assert store._buckets[combo] == {pos - start for pos in range(start, end) if alive[pos]}
+
+
+@st.composite
+def spec_and_marks(draw):
+    """A spec and a few (row, mark it by positions?) steps."""
+    spec = draw(mixed_specs)
+    row = st.tuples(*(st.integers(min_value=0, max_value=v - 1) for v in spec.domains))
+    return spec, draw(st.lists(st.tuples(row, st.booleans()), min_size=1, max_size=8))
+
+
+@needs_numpy
+@given(spec_and_marks())
+@settings(max_examples=80, deadline=None)
+def test_position_marks_agree_with_one_row_marks(case):
+    spec, steps = case
+    for mech in ALL_MECHS:
+        reference = build_store(spec, mech)
+        store = build_store(spec, mech)
+        for row, by_positions in steps:
+            expected = reference.mark_covered(row)
+            assert (_mark_by_positions(store, row) if by_positions else store.mark_covered(row)) == expected
+            assert store.remaining() == reference.remaining()
+            _assert_consistent(store)
+        assert list(store.uncovered_elements()) == list(reference.uncovered_elements())
+        assert store.coverage_counts([row for row, _ in steps]) == [0] * len(steps)
+
+
+@needs_numpy
+@pytest.mark.parametrize("mech", ALL_MECHS)
+def test_capped_block_run_leaves_the_store_consistent(mech):
+    spec = CoveringArraySpec.from_string("t=3;k=6;v=2,3,4,5,6,7")
+    config = GreedyConfig(candidates_per_row=20, rng_seed=1, max_rows=40)
+    store = build_store(spec, mech)
+    with pytest.raises(IncompleteCoverageError) as block_run:
+        run_greedy(store, config)
+    _assert_consistent(store)
+    assert block_run.value.remaining == store.remaining() > 0
+    # block gathers and position marks charge no counter
+    assert (store.counters.bucket_lookups, store.counters.elements_scanned) == (0, 0)
+    proxy = _CountingProxy(build_store(spec, mech))
+    with pytest.raises(IncompleteCoverageError) as one_row_run:
+        run_greedy(proxy, config)
+    assert block_run.value.partial_suite.rows == one_row_run.value.partial_suite.rows
+    assert list(store.uncovered_elements()) == list(proxy._store.uncovered_elements())
+
+
+@needs_numpy
+@pytest.mark.parametrize("spec_text, candidates", [
+    ("t=3;k=7;v=2,3,4,2,3,4,2", 9),  # C(7,3) = 35 combinations per row
+    ("t=4;k=6;v=2,3,4,2,3,2", 5),  # C(6,4) = 15
+])
+@pytest.mark.parametrize("entries", [
+    lambda c, n: 1,
+    lambda c, n: 7,
+    lambda c, n: c - 1,
+    lambda c, n: 2 * c + 1,  # two rows a chunk, and one in the last
+    lambda c, n: n * c - 1,
+    lambda c, n: n * c,  # the first bound that is not oversized
+], ids=["1", "7", "C-1", "2C+1", "nC-1", "nC"])
+def test_oversized_iterations_are_scored_in_row_chunks(monkeypatch, spec_text, candidates, entries):
+    # An iteration of n candidates needs n*C entries; past the bound it is
+    # scored a few rows at a time and its winner's positions recomputed.
+    spec = CoveringArraySpec.from_string(spec_text)
+    config = GreedyConfig(candidates_per_row=candidates, rng_seed=5)
+    expected = _per_row_suite(spec, StoreMechanism.HASH, config)
+    combos = math.comb(spec.k, spec.t)
+    bound = entries(combos, candidates)
+    monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", bound)
+    widest = []
+    positions = InteractionStore._positions
+
+    def recording_positions(self, batch):
+        out = positions(self, batch)
+        widest.append(max(batch.size, out.size))
+        return out
+
+    monkeypatch.setattr(InteractionStore, "_positions", recording_positions)
+    for mech in ALL_MECHS:
+        assert generate_ca(spec, mech, config).rows == expected
+    assert max(widest) <= max(bound, combos)
 
 
 class TestWithoutNumpy:

@@ -241,6 +241,10 @@ _GOLDEN_SUITES = {
         "215821d10c493d06aac603f3fd105a8d75e3182f366bfa92a15e4d737c5f727f",
     ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 3):
         "5c47eb2adbc33a9bae26e9c4ead21c68757a838cf06e468626fc4d4fe76cd81c",
+    ("t=3;k=6;v=2,3,4,5,6,7", ("--candidates", "20"), 1):
+        "9aabaa4d4fa8f2c887a72f9158a96c24671b1fec11abf5a8fc0413353fcd9f54",
+    ("t=3;k=6;v=2,3,4,5,6,7", ("--candidates", "20"), 2):
+        "0d1d006801830d7b3d48b214b1bcdfbbad1a34086befc0ca8d0cde50bfb013ea",
 }
 
 

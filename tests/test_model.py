@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -215,6 +216,12 @@ class TestSuiteCsv:
         path = tmp_path / "bad.csv"
         path.write_text("0,zero,0\n")
         with pytest.raises(ValueError):
+            read_suite_csv(str(path), CoveringArraySpec.uniform(2, 3, 2))
+
+    def test_bad_cell_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0,0\n\n1,1,1\n1,0,1.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: non-integer cell$"):
             read_suite_csv(str(path), CoveringArraySpec.uniform(2, 3, 2))
 
     def test_row_out_of_domain(self, tmp_path):
