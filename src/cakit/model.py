@@ -216,8 +216,13 @@ def write_suite_csv(suite: TestSuite, path: str) -> None:
 
 
 def read_suite_csv(path: str, spec: CoveringArraySpec) -> TestSuite:
-    """Read a suite CSV and validate every row against the spec."""
+    """Read a suite CSV and validate every row against the spec.
+
+    An error names the file and the line of the first bad row: ``path:lineno: ...``.
+    """
     rows: list[TestCase] = []
+    linenos: list[int] = []
+    bad_cell = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -226,10 +231,20 @@ def read_suite_csv(path: str, spec: CoveringArraySpec) -> TestSuite:
             try:
                 values = tuple(map(int, line.split(",")))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer cell") from exc
-            try:
-                spec.validate_row(values)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                bad_cell = lineno, exc
+                break
             rows.append(TestCase(values))
-    return TestSuite(spec=spec, rows=tuple(rows))
+            linenos.append(lineno)
+    if bad_cell is None:
+        try:
+            return TestSuite(spec=spec, rows=tuple(rows))  # validates every row once
+        except ValueError:
+            pass
+    # TestSuite names no line: find the first invalid row again, before any bad cell
+    for lineno, row in zip(linenos, rows):
+        try:
+            spec.validate_row(row.assignment)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    lineno, exc = bad_cell
+    raise ValueError(f"{path}:{lineno}: non-integer cell") from exc

@@ -118,9 +118,16 @@ def test_domains_past_32_bits_refused_before_any_draw():
 # 2**31 and 2**32 - 1 are not shifted at all.
 _EDGE_DOMAINS = [1, 2, 3, 60, 2**31, 2**32 - 1]
 _domain = st.one_of(st.sampled_from(_EDGE_DOMAINS), st.integers(min_value=1, max_value=2**32 - 1))
+_repeats = st.integers(min_value=1, max_value=6)
 _domains = st.one_of(
-    st.tuples(_domain, st.integers(min_value=1, max_value=6)).map(lambda vk: (vk[0],) * vk[1]),
+    st.tuples(_domain, _repeats).map(lambda vk: (vk[0],) * vk[1]),
     st.lists(_domain, min_size=1, max_size=6).map(tuple),
+    # runs of equal sizes, as in (2, 2, 60, 60) or (a,)*m + (b,)*n
+    st.lists(st.tuples(_domain, _repeats), min_size=2, max_size=4).map(
+        lambda runs: tuple(v for v, m in runs for _ in range(m))),
+    st.just((2, 2, 60, 60)),
+    # enough distinct sizes that numpy batches come from the Python decoder
+    st.lists(_domain, min_size=8, max_size=12, unique=True).map(tuple),
 )
 
 
@@ -148,11 +155,12 @@ def _oracle_batches(seed, domains, count, iterations):
 @settings(max_examples=60, deadline=None)
 def test_candidates_are_randrange_rows(numpy_blocked, vectorised, seed, domains, count,
                                        iterations, draw_words):
-    # A small draw size makes every run refill its word buffer many times,
-    # often in the middle of a row.
+    # Small draws and decoding windows make every run refill its word buffer
+    # and decode many times, often in the middle of a row.
     expected = _oracle_batches(seed, domains, count, iterations)
     with _without_numpy(numpy_blocked), \
-            mock.patch.object(greedy_module, "_MIN_DRAW_WORDS", draw_words):
+            mock.patch.object(greedy_module, "_MIN_DRAW_WORDS", draw_words), \
+            mock.patch.object(greedy_module, "_DECODE_WINDOW_WORDS", draw_words):
         batches = greedy_module._candidate_batches(
             random.Random(seed), domains, count, vectorised=vectorised
         )
@@ -161,7 +169,7 @@ def test_candidates_are_randrange_rows(numpy_blocked, vectorised, seed, domains,
             import numpy as np
         except ImportError:
             np = None
-        if vectorised and np is not None and len(set(domains)) == 1:
+        if vectorised and np is not None:
             assert all(b.dtype == np.intp and b.shape == (count, len(domains)) for b in got)
             got = [[tuple(row) for row in b.tolist()] for b in got]
         assert all(type(x) is int for b in got for row in b for x in row)
@@ -228,6 +236,21 @@ def test_greedy_picks_the_oracle_rows(numpy_blocked, spec, seed, candidates, mec
                 rows = exc.partial_suite.rows
             assert rows == expected
             assert all(type(x) is int for row in rows for x in row.assignment)
+
+
+def test_block_path_decodes_mixed_domains_without_the_tuple_decoder():
+    pytest.importorskip("numpy")
+    spec = CoveringArraySpec.from_string("t=3;k=6;v=2,3,4,5,6,7")
+    config = GreedyConfig(rng_seed=1)
+    with mock.patch.object(greedy_module, "_tuple_batches",
+                           side_effect=AssertionError("tuple decoder called")):
+        rows = run_greedy(build_store(spec, StoreMechanism.HASH), config).rows
+    # a proxy gets the one-row path, whose candidates are tuples
+    with mock.patch.object(greedy_module, "_tuple_batches",
+                           wraps=greedy_module._tuple_batches) as tuple_batches:
+        proxied = run_greedy(_ForwardingProxy(build_store(spec, StoreMechanism.HASH)), config).rows
+    assert tuple_batches.called
+    assert proxied == rows
 
 
 # sha256 of generate-ca's suite CSV, computed with one randrange call per value.

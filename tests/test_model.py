@@ -230,6 +230,12 @@ class TestSuiteCsv:
         with pytest.raises(ValueError):
             read_suite_csv(str(path), CoveringArraySpec.uniform(2, 3, 2))
 
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0,0\n0,0,2\n1,x,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: value 2 of parameter 2 "):
+            read_suite_csv(str(path), CoveringArraySpec.uniform(2, 3, 2))
+
 
 def test_suite_rejects_invalid_rows():
     spec = CoveringArraySpec.uniform(2, 3, 2)
