@@ -3,9 +3,11 @@
 Each iteration samples a batch of uniform-random candidate rows, scores
 them with the store's coverage query (the fitness function), and keeps the
 best scorer: the first one of maximal gain, if that gain is above 0. On a
-store with numpy, a block of iterations' candidates is checked and turned
-into flat positions at once; each iteration then gathers the tombstones at
-its own positions and marks its winner from them. Anything else standing
+store with numpy, a block of iterations' candidates is turned into flat
+positions at once (one matrix product on most shapes); each
+iteration then gathers the tombstones at its own positions and clears
+those of its winner, which touches no other index of the store, so no
+mechanism adds work there. Anything else standing
 in for a store, such as a timing proxy, and any store without numpy, is
 asked one ``coverage_count`` per candidate and one ``mark_covered`` per
 winner. How the batch is scored changes how fast it runs, never which rows
@@ -287,9 +289,12 @@ def _block_picks(
     """:func:`_one_row_picks` for a store whose batch path has numpy.
 
     Candidates never depend on store state, so a block of iterations is
-    decoded, checked and turned into flat positions at once. Each
+    decoded and turned into flat positions at once. The decoders draw
+    every value inside its domain as an intp ndarray, so the block is not
+    checked again. Each
     iteration then gathers ``alive`` at its own positions, which sees every
-    earlier mark, and marks its winner from positions already known. A
+    earlier mark, and marks its winner from positions already known, by
+    clearing ``alive`` there and nothing else. A
     block's candidate and position arrays hold at most
     ``max(_GATHER_CHUNK_ENTRIES, C(k, t))`` entries; an iteration too big
     for one block is scored in row chunks by ``coverage_counts``.
@@ -299,8 +304,7 @@ def _block_picks(
     entries = _store._GATHER_CHUNK_ENTRIES
     width = max(len(store._combos), len(domains))  # entries per row in a block's arrays
     iterations = max(1, entries // (count * width))
-    for block in _candidate_batches(rng, domains, iterations * count, vectorised=True):
-        batch = store._accept(block)
+    for batch in _candidate_batches(rng, domains, iterations * count, vectorised=True):
         if count * width > entries:  # one oversized iteration
             gains = store.coverage_counts(batch)
             best_gain = max(gains)

@@ -14,14 +14,19 @@ count, row validation, packing, element enumeration and the batch query
 ``coverage_counts``: one gather of ``alive`` at ``base + packed`` for
 many rows, through numpy when it imports. The greedy builder's block path
 uses the same numpy helpers to check a batch, compute its flat positions
-and mark a winner from its positions. Three observationally
-equivalent mechanisms, the paper's measured subjects, differ only in how
-a query locates the row's elements:
+and mark a winner from its positions. The positions of a batch are one
+float64 matrix product of the rows with a table of strides, or, on
+shapes where that is slower (see ``_product_wins``), one gather per slot
+of the combinations. A position mark clears ``alive`` and nothing else.
+Three observationally equivalent mechanisms, the paper's measured
+subjects, differ only in how a query locates the row's elements:
 
 * ``HASH`` - buckets keyed by the parameter combination; each bucket is a
   hashed set of the packed values still uncovered, so a query does one
-  bucket lookup plus one set membership test per combination. Marking
-  removes from the bucket as well as clearing ``alive``.
+  bucket lookup plus one set membership test per combination. A one-row
+  mark removes from the bucket as well as clearing ``alive``; after
+  position marks, the next one-row call rebuilds the buckets from
+  ``alive`` first.
 * ``INDEXED`` - the flat array of packed values (each combination's slice
   is ``range(prod)``) searched linearly within the combination's slice,
   so query time grows with the number of values per combination.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import compress, pairwise
 from typing import Iterator, Sequence
 
 from .combgen import iter_combinations_stack
@@ -51,6 +56,18 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 #: greedy also sizes its blocks of iterations by it; small enough that a
 #: block's arrays stay in cache.
 _GATHER_CHUNK_ENTRIES = 1 << 13
+
+
+def _product_wins(k: int, t: int, combos: int) -> bool:
+    """Whether flat positions come from one matrix product rather than a gather per slot.
+
+    Per position the product does ``k`` multiply-adds where the gathers do
+    ``t`` passes, and it reads a ``k x combos`` weight matrix. Timed per
+    block, the product lost at t = 1 (a single gather), from about k = 25t
+    at t = 2, and where that matrix outgrew the cache (``t=3;k=34``); these
+    bounds keep clear of all three.
+    """
+    return t > 1 and k <= 16 * t and k * combos <= 1 << 16
 
 
 class StoreMechanism(enum.Enum):
@@ -79,9 +96,9 @@ class StoreCounters:
     call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
     compared by FULL_SCAN. One-row queries and marks charge them; the batch
-    gather of ``coverage_counts`` and the greedy's block gathers and
-    position marks charge neither, so a greedy run on a store with numpy
-    leaves both at 0.
+    gather of ``coverage_counts``, the greedy's block gathers and position
+    marks, and HASH's rebuild of its buckets after position marks charge
+    neither, so a greedy run on a store with numpy leaves both at 0.
     """
 
     bucket_lookups: int
@@ -126,6 +143,7 @@ class InteractionStore:
         self._lookups = 0
         self._scanned = 0
         self._gather: tuple | None = None  # see _tables
+        self._stale = False  # set by a position mark; see _HashStore
 
     @property
     def counters(self) -> StoreCounters:
@@ -191,7 +209,9 @@ class InteractionStore:
     def _tables(self) -> tuple:
         """numpy and the arrays the batch path gathers with; () without numpy.
 
-        Built on first use, so building a store never imports numpy.
+        Built on first use, so building a store never imports numpy. Only
+        the position tables of the formula that :func:`_product_wins`
+        picks are built.
         """
         if self._gather is not None:
             return self._gather
@@ -202,14 +222,22 @@ class InteractionStore:
             return self._gather
         # proj[r, j]: (parameter, stride) of slot j of rank r; the last stride is 1.
         proj = np.array(self._projections, dtype=np.intp)
+        weights = slots = None
+        if _product_wins(self.spec.k, self.spec.t, len(self._combos)):
+            # weights[i, r]: the stride of parameter i in rank r, 0 if i is not in it
+            weights = np.zeros((self.spec.k, len(self._combos)))
+            weights[proj[:, :, 0], np.arange(len(self._combos))[:, None]] = proj[:, :, 1]
+        else:
+            slots = (np.ascontiguousarray(proj[:, -1, 0]),
+                     [(np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
+                      for j in range(self.spec.t - 1)])
         self._gather = (
             np,
             np.frombuffer(self._alive, dtype=np.uint8),  # zero-copy: sees and makes every mark
             np.array(self.spec.domains, dtype=np.uintp),  # unsigned: catches negatives too
             np.array(self._bases[:-1], dtype=np.intp),
-            np.ascontiguousarray(proj[:, -1, 0]),
-            [(np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
-             for j in range(self.spec.t - 1)],
+            weights,
+            slots,
         )
         return self._gather
 
@@ -233,33 +261,35 @@ class InteractionStore:
         return batch
 
     def _positions(self, batch):
-        """Flat positions of an accepted batch: (rows x combinations), ranks in order."""
-        bases, last_params, slots = self._gather[3:]
+        """Flat positions of an intp batch in the domains: (rows x combinations), ranks in order."""
+        np, _, _, bases, weights, slots = self._gather
         # base + sum over slots of value * stride, for every row and combination
-        positions = batch.take(last_params, axis=1)
+        if weights is not None:
+            # Exact in float64: every term and partial sum is an integer
+            # below the element count, far under 2**53.
+            positions = (batch @ weights).astype(np.intp)
+        else:
+            last_params, others = slots
+            positions = batch.take(last_params, axis=1)
+            for params, strides in others:
+                part = batch.take(params, axis=1)
+                part *= strides
+                positions += part
         positions += bases
-        for params, strides in slots:
-            part = batch.take(params, axis=1)
-            part *= strides
-            positions += part
         return positions
 
     def _mark_positions(self, positions) -> int:
-        """:meth:`mark_covered` of one row given by its :meth:`_positions`; charges no counter."""
-        alive = self._gather[1]
-        ranks = alive[positions].nonzero()[0]
-        live = positions[ranks]
-        alive[live] = 0
-        self._drop(ranks, live)
-        self._remaining -= len(live)
-        return len(live)
+        """:meth:`mark_covered` of one row given by its :meth:`_positions`; charges no counter.
 
-    def _drop(self, ranks, live) -> None:
-        """Drop newly covered elements from any index kept apart from ``_alive``.
-
-        They are given by combination rank and flat position. INDEXED and
-        FULL_SCAN keep no such index.
+        It clears tombstones only; an index kept apart from ``_alive`` is
+        left stale until its next one-row use.
         """
+        alive = self._gather[1]
+        live = positions[alive[positions].nonzero()[0]]
+        alive[live] = 0
+        self._remaining -= len(live)
+        self._stale = True
+        return len(live)
 
     def _pack(self, row: Sequence[int]) -> list[int]:
         """Validate the row; return its packed value under each combination, in rank order."""
@@ -292,6 +322,8 @@ class _HashStore(InteractionStore):
         # Packs inline: the hottest loop in the package, and a call to
         # _pack per query costs about a quarter more time.
         row = self.spec.validate_row(row)
+        if self._stale:
+            self._sync_buckets()
         buckets = self._buckets
         n = 0
         for combo, proj in zip(self._combos, self._projections):
@@ -305,6 +337,8 @@ class _HashStore(InteractionStore):
         return n
 
     def _take(self, packed: list[int]) -> list[int]:
+        if self._stale:
+            self._sync_buckets()
         buckets = self._buckets
         taken = []
         for combo, base, p in zip(self._combos, self._bases, packed):
@@ -315,10 +349,14 @@ class _HashStore(InteractionStore):
         self._lookups += len(self._combos)
         return taken
 
-    def _drop(self, ranks, live) -> None:
-        buckets, combos, bases = self._buckets, self._combos, self._bases
-        for rank, pos in zip(ranks.tolist(), live.tolist()):
-            buckets[combos[rank]].remove(pos - bases[rank])
+    def _sync_buckets(self) -> None:
+        """Rebuild the buckets from ``_alive`` after position marks; charges no counter."""
+        alive = memoryview(self._alive)
+        self._buckets = {
+            combo: set(compress(range(end - start), alive[start:end]))
+            for combo, (start, end) in zip(self._combos, pairwise(self._bases))
+        }
+        self._stale = False
 
 
 class _IndexedStore(InteractionStore):

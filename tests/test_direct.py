@@ -10,7 +10,7 @@ one-row ``mark_covered`` is the reference for that mark.
 import json
 import math
 import sys
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +19,7 @@ import cakit.store as store_module
 from cakit.cli import main
 from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
 from cakit.model import CoveringArraySpec
-from cakit.store import InteractionStore, StoreMechanism, build_store
+from cakit.store import InteractionStore, StoreCounters, StoreMechanism, build_store
 
 ALL_MECHS = tuple(StoreMechanism)
 
@@ -203,10 +203,12 @@ def _mark_by_positions(store, row):
 
 
 def _assert_consistent(store):
-    """``remaining()`` counts the live tombstones; HASH's buckets hold exactly the live packed values."""
+    """``remaining()`` counts the live tombstones; synced HASH buckets hold exactly the live packed values."""
     alive = store._alive
     assert store.remaining() == sum(alive)
     if isinstance(store, store_module._HashStore):
+        if store._stale:  # position marks leave the buckets to the next one-row call
+            store._sync_buckets()
         for combo, (start, end) in zip(store._combos, pairwise(store._bases)):
             assert store._buckets[combo] == {pos - start for pos in range(start, end) if alive[pos]}
 
@@ -253,6 +255,73 @@ def test_capped_block_run_leaves_the_store_consistent(mech):
         run_greedy(proxy, config)
     assert block_run.value.partial_suite.rows == one_row_run.value.partial_suite.rows
     assert list(store.uncovered_elements()) == list(proxy._store.uncovered_elements())
+
+
+def test_hash_buckets_are_built_with_the_store():
+    # Eager, so that building a store (perfbench's setup_s) keeps measuring the same work.
+    spec = CoveringArraySpec(t=2, k=4, domains=(2, 3, 4, 3))
+    store = build_store(spec, StoreMechanism.HASH)
+    assert not store._stale
+    assert store._buckets == {
+        combo: set(range(math.prod(spec.domains[i] for i in combo)))
+        for combo in combinations(range(spec.k), spec.t)
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize("first", [0, 1], ids=["mark_first", "query_first"])
+def test_one_row_calls_after_a_block_run_answer_as_indexed(first):
+    spec = CoveringArraySpec.from_string("t=3;k=6;v=2,3,4,5,6,7")
+    config = GreedyConfig(candidates_per_row=20, rng_seed=2, max_rows=40)
+    hashed = build_store(spec, StoreMechanism.HASH)
+    indexed = build_store(spec, StoreMechanism.INDEXED)
+    for store in (hashed, indexed):
+        with pytest.raises(IncompleteCoverageError):
+            run_greedy(store, config)
+    assert hashed._stale  # the block path marked by positions only
+    assert hashed.counters == StoreCounters(bucket_lookups=0, elements_scanned=0)
+    combos = math.comb(spec.k, spec.t)
+    rows = [tuple((i * 5 + j * 3) % v for j, v in enumerate(spec.domains)) for i in range(12)]
+    answers = []
+    for n, row in enumerate(rows):
+        call = "mark_covered" if n % 3 == first else "coverage_count"
+        answers.append(getattr(hashed, call)(row))
+        assert answers[-1] == getattr(indexed, call)(row)
+        # the sync charges nothing: one lookup per combination per call, as ever
+        assert hashed.counters == StoreCounters(bucket_lookups=combos * (n + 1), elements_scanned=0)
+    assert any(answers)
+    assert hashed.remaining() == indexed.remaining()
+    assert list(hashed.uncovered_elements()) == list(indexed.uncovered_elements())
+    _assert_consistent(hashed)
+
+
+# (t, k) shapes on each side of store._product_wins
+_PRODUCT_SHAPES = [(2, 2), (2, 9), (2, 32), (3, 3), (3, 12), (3, 25), (4, 18)]
+_SLOT_SHAPES = [(1, 1), (1, 9), (1, 40), (2, 33), (3, 26), (4, 19)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("shapes, by_product", [(_PRODUCT_SHAPES, True), (_SLOT_SHAPES, False)],
+                         ids=["product", "slots"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_positions_are_base_plus_packed_on_both_sides_of_the_product_rule(shapes, by_product, data):
+    t, k = data.draw(st.sampled_from(shapes))
+    domains = data.draw(st.lists(st.integers(min_value=1, max_value=2 if k > 12 else 5),
+                                 min_size=k, max_size=k))
+    spec = CoveringArraySpec(t=t, k=k, domains=tuple(domains))
+    row = st.tuples(*(st.integers(min_value=0, max_value=v - 1) for v in domains))
+    rows = data.draw(st.lists(row, min_size=1, max_size=6))
+    store = build_store(spec, StoreMechanism.HASH)
+    store.mark_covered(rows[0])
+    np, *_, weights, slots = store._tables()
+    # one set of position tables, the one the rule picks
+    assert (weights is not None, slots is not None) == (by_product, not by_product)
+    positions = store._positions(store._accept(rows))
+    assert positions.dtype == np.intp
+    expected = [[base + p for base, p in zip(store._bases, store._pack(r))] for r in rows]
+    assert positions.tolist() == expected
+    assert store.coverage_counts(rows) == [store.coverage_count(r) for r in rows]
 
 
 @needs_numpy
