@@ -22,7 +22,7 @@ return, in stream order, rather than drawn one ``randrange`` at a time.
 ``randrange(v)`` reads one output ``w``, takes ``w >> (32 - v.bit_length())``
 and draws again while that is ``>= v``; the decoders apply the same rule
 to the same words. Without numpy, and for stand-ins for a store, a Python
-loop walks the words. With numpy, uniform domains keep the accepted words of one vectorised filter.
+loop walks the words. With numpy, uniform domains keep the accepted words of one array filter.
 Other domains follow the rejection chain in numpy: each distinct domain
 size tests every word once; from that follows, for every word, where a
 run of equal sizes starting there ends, and composed over the runs, where
@@ -47,8 +47,7 @@ from itertools import chain, groupby
 from typing import Iterator, Sequence
 
 from .model import CoveringArraySpec, TestCase, TestSuite
-from . import store as _store
-from .store import InteractionStore, StoreMechanism, build_store
+from .store import DEFAULT_MAX_ELEMENTS, CapacityError, InteractionStore, StoreMechanism, build_store
 
 #: Bound on domain sizes: randrange of a bigger one reads more than one
 #: 32-bit output per value, which the decoder does not follow.
@@ -66,6 +65,12 @@ _DECODE_WINDOW_WORDS = 1 << 16
 #: word drawn, that decoder makes about ten array passes for each distinct
 #: size and one gather for each run; it and the Python loop break even near 72.
 _MIXED_DECODE_LIMIT = 72
+
+#: Ceiling on the entries of a block's candidate and position arrays, small
+#: enough that they stay in cache; an iteration bigger than that is scored
+#: in row chunks within it. A single row goes past it only when the
+#: combination count does.
+_GATHER_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -121,34 +126,13 @@ def _word_stream(rng: random.Random) -> Iterator[int]:
     return chain.from_iterable(iter(draw, None))  # draw never returns None: endless
 
 
-def _candidate_batches(
-    rng: random.Random, domains: Sequence[int], count: int, *, vectorised: bool
-) -> Iterator:
+def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> Iterator[list]:
     """Yield batch after batch of ``count`` candidate rows drawn from ``rng``.
 
     The rows are, batch after batch, exactly those of
-    ``[tuple(rng.randrange(v) for v in domains) for _ in range(count)]``.
-    With ``vectorised`` set and numpy importable, a batch is a ``(count, k)``
-    intp ndarray; otherwise it is a list of tuples of plain ints. Every
-    domain must be below 2**32.
+    ``[tuple(rng.randrange(v) for v in domains) for _ in range(count)]``,
+    as a list of tuples of plain ints. Every domain must be below 2**32.
     """
-    if vectorised:
-        try:
-            import numpy as np
-        except ImportError:
-            pass
-        else:
-            sizes = len(set(domains))
-            if sizes == 1:
-                return _uniform_array_batches(np, rng, domains[0], len(domains), count)
-            runs = [(v, len(list(group))) for v, group in groupby(domains)]
-            if 10 * sizes + len(runs) <= _MIXED_DECODE_LIMIT:
-                return _mixed_array_batches(np, rng, runs, count)
-            return (np.array(rows, dtype=np.intp) for rows in _tuple_batches(rng, domains, count))
-    return _tuple_batches(rng, domains, count)
-
-
-def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> Iterator[list]:
     next_word = _word_stream(rng).__next__
     plan = [(32 - v.bit_length(), v) for v in domains]
     while True:
@@ -162,6 +146,17 @@ def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> It
                 row.append(x)
             rows.append(tuple(row))
         yield rows
+
+
+def _array_batches(np, rng: random.Random, domains: Sequence[int], count: int) -> Iterator:
+    """The batches of :func:`_tuple_batches`, each a ``(count, k)`` intp ndarray."""
+    sizes = len(set(domains))
+    if sizes == 1:
+        return _uniform_array_batches(np, rng, domains[0], len(domains), count)
+    runs = [(v, len(list(group))) for v, group in groupby(domains)]
+    if 10 * sizes + len(runs) <= _MIXED_DECODE_LIMIT:
+        return _mixed_array_batches(np, rng, runs, count)
+    return (np.array(rows, dtype=np.intp) for rows in _tuple_batches(rng, domains, count))
 
 
 def _uniform_array_batches(np, rng: random.Random, v: int, k: int, count: int) -> Iterator:
@@ -181,7 +176,7 @@ def _uniform_array_batches(np, rng: random.Random, v: int, k: int, count: int) -
 
 
 def _mixed_array_batches(np, rng: random.Random, runs: list[tuple[int, int]], count: int) -> Iterator:
-    """:func:`_candidate_batches` for domains given as (size, repeats) runs, decoded in numpy."""
+    """:func:`_array_batches` for domains given as (size, repeats) runs, decoded in numpy."""
     k = sum(m for _, m in runs)
     # randrange(v) reads 2**v.bit_length() / v words on average
     words_per_row = sum(m * (1 << v.bit_length()) / v for v, m in runs)
@@ -291,25 +286,25 @@ def _block_picks(
     Candidates never depend on store state, so a block of iterations is
     decoded and turned into flat positions at once. The decoders draw
     every value inside its domain as an intp ndarray, so the block is not
-    checked again. Each
-    iteration then gathers ``alive`` at its own positions, which sees every
-    earlier mark, and marks its winner from positions already known, by
-    clearing ``alive`` there and nothing else. A
-    block's candidate and position arrays hold at most
+    checked again. Each iteration then gathers ``alive`` at its own
+    positions, which sees every earlier mark, and marks its winner from
+    positions already known, by clearing ``alive`` there and nothing else.
+    A block's candidate and position arrays hold at most
     ``max(_GATHER_CHUNK_ENTRIES, C(k, t))`` entries; an iteration too big
-    for one block is scored in row chunks by ``coverage_counts``.
+    for one block gathers a few rows at a time, and its winner's positions
+    are computed again.
     """
-    alive = store._tables()[1]
+    np, alive = store._tables()[:2]
     domains = store.spec.domains
-    entries = _store._GATHER_CHUNK_ENTRIES
     width = max(len(store._combos), len(domains))  # entries per row in a block's arrays
-    iterations = max(1, entries // (count * width))
-    for batch in _candidate_batches(rng, domains, iterations * count, vectorised=True):
-        if count * width > entries:  # one oversized iteration
-            gains = store.coverage_counts(batch)
-            best_gain = max(gains)
-            best = gains.index(best_gain)
-            if best_gain:
+    iterations = max(1, _GATHER_CHUNK_ENTRIES // (count * width))
+    chunk = max(1, _GATHER_CHUNK_ENTRIES // width)  # rows per gather of an oversized iteration
+    for batch in _array_batches(np, rng, domains, iterations * count):
+        if count * width > _GATHER_CHUNK_ENTRIES:  # one oversized iteration
+            gains = np.concatenate([alive[store._positions(batch[lo:lo + chunk])].sum(axis=1)
+                                    for lo in range(0, count, chunk)])
+            best = gains.argmax()  # the first maximal gain
+            if gains[best]:
                 store._mark_positions(store._positions(batch[best:best + 1])[0])
                 yield tuple(batch[best].tolist())
             else:
@@ -333,7 +328,9 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
     (otherwise forced suites like k = t would not come out at their exact
     lower bound); it still consumes one unit of the max_rows iteration
     budget, which therefore also bounds the row count. Raises
-    ``ValueError`` before the first draw if a domain is 2**32 or bigger.
+    ``ValueError`` before the first draw if a domain is 2**32 or bigger,
+    and :class:`CapacityError` if one iteration's candidates hold more
+    than ``DEFAULT_MAX_ELEMENTS`` values.
     """
     spec = store.spec
     domains = spec.domains
@@ -341,12 +338,18 @@ def run_greedy(store: InteractionStore, config: GreedyConfig) -> TestSuite:
         raise ValueError(f"domain sizes must be below 2**32 = {_MAX_DOMAIN}, got {max(domains)}")
     rng = random.Random(config.rng_seed)
     count = config.candidates_per_row
+    values = count * len(domains)
+    if values > DEFAULT_MAX_ELEMENTS:
+        error = CapacityError(values, DEFAULT_MAX_ELEMENTS)
+        error.args = (f"{count} candidates per row would decode {values} values at once, "
+                      f"exceeding the budget of {DEFAULT_MAX_ELEMENTS}",)
+        raise error
     # Not an attribute check: a proxy that forwards unknown attributes
     # must still see, and time, every one-row query and mark.
     if isinstance(store, InteractionStore) and store._tables():
         picks = _block_picks(store, rng, count)
     else:
-        picks = _one_row_picks(store, _candidate_batches(rng, domains, count, vectorised=False))
+        picks = _one_row_picks(store, _tuple_batches(rng, domains, count))
     rows: list[TestCase] = []
     iterations = 0
     while store.remaining() > 0:

@@ -10,11 +10,10 @@ element with packed value ``p`` of the combination of rank ``r`` sits at
 tombstones: removal clears a flag and nothing is ever moved.
 
 The shared base class owns the layout, the tombstones, the remaining
-count, row validation, packing, element enumeration and the batch query
-``coverage_counts``: one gather of ``alive`` at ``base + packed`` for
-many rows, through numpy when it imports. The greedy builder's block path
-uses the same numpy helpers to check a batch, compute its flat positions
-and mark a winner from its positions. The positions of a batch are one
+count, row validation, packing and element enumeration. Where numpy
+imports, it also holds the tables with which the greedy builder's block
+path computes the flat positions of a batch of rows and marks a winner
+from its positions. The positions of a batch are one
 float64 matrix product of the rows with a table of strides, or, on
 shapes where that is slower (see ``_product_wins``), one gather per slot
 of the combinations. A position mark clears ``alive`` and nothing else.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import chain, compress, pairwise
 from typing import Iterator, Sequence
 
 from .combgen import iter_combinations_stack
@@ -49,13 +48,6 @@ from .model import CoveringArraySpec, InteractionElement
 #: Default ceiling on the number of interaction elements a store may hold.
 #: Roughly 1 GiB of worst-case layout; raise it explicitly for bigger runs.
 DEFAULT_MAX_ELEMENTS = 10_000_000
-
-#: Ceiling on the entries of the (rows x combinations) position array that
-#: one batch gather builds; bigger batches are scored in row chunks.
-#: A single row goes past it only when the combination count does. The
-#: greedy also sizes its blocks of iterations by it; small enough that a
-#: block's arrays stay in cache.
-_GATHER_CHUNK_ENTRIES = 1 << 13
 
 
 def _product_wins(k: int, t: int, combos: int) -> bool:
@@ -95,10 +87,10 @@ class StoreCounters:
     ``bucket_lookups`` counts HASH bucket accesses (one per combination per
     call). ``elements_scanned`` counts array positions walked by INDEXED
     (tombstones included, since the scan cannot skip them) and live elements
-    compared by FULL_SCAN. One-row queries and marks charge them; the batch
-    gather of ``coverage_counts``, the greedy's block gathers and position
-    marks, and HASH's rebuild of its buckets after position marks charge
-    neither, so a greedy run on a store with numpy leaves both at 0.
+    compared by FULL_SCAN. One-row queries and marks charge them; the
+    greedy's block gathers and position marks, and HASH's rebuild of its
+    buckets after position marks, charge neither, so a greedy run on a
+    store with numpy leaves both at 0.
     """
 
     bucket_lookups: int
@@ -157,27 +149,6 @@ class InteractionStore:
         """How many still-uncovered elements the row covers. Read-only."""
         raise NotImplementedError
 
-    def coverage_counts(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """:meth:`coverage_count` of every row, scored together. Read-only.
-
-        ``rows`` is a sequence of rows or a 2-D integer ndarray of shape
-        (rows, k). With numpy it is one gather of ``alive`` at
-        ``base + packed`` for the whole batch, charged to no counter;
-        without numpy each row is one :meth:`coverage_count`. Raises the
-        ``ValueError`` of :meth:`CoveringArraySpec.validate_row` for the
-        first invalid row.
-        """
-        tables = self._tables()
-        if len(rows) == 0 or not tables:
-            return [self.coverage_count(row) for row in rows]
-        alive = tables[1]
-        batch = self._accept(rows)
-        chunk = max(1, _GATHER_CHUNK_ENTRIES // len(self._combos))
-        counts: list[int] = []
-        for lo in range(0, len(batch), chunk):
-            counts.extend(alive[self._positions(batch[lo:lo + chunk])].sum(axis=1).tolist())
-        return counts
-
     def mark_covered(self, row: Sequence[int]) -> int:
         """Remove every uncovered element the row covers; return how many."""
         positions = self._take(self._pack(row))
@@ -207,7 +178,7 @@ class InteractionStore:
         raise NotImplementedError
 
     def _tables(self) -> tuple:
-        """numpy and the arrays the batch path gathers with; () without numpy.
+        """numpy and the arrays the greedy's block path gathers with; () without numpy.
 
         Built on first use, so building a store never imports numpy. Only
         the position tables of the formula that :func:`_product_wins`
@@ -221,48 +192,31 @@ class InteractionStore:
             self._gather = ()
             return self._gather
         # proj[r, j]: (parameter, stride) of slot j of rank r; the last stride is 1.
-        proj = np.array(self._projections, dtype=np.intp)
+        # fromiter fills it in place; np.array over the nested tuples peaks at 4x its size.
+        combos, t = len(self._combos), self.spec.t
+        proj = np.fromiter(chain.from_iterable(chain.from_iterable(self._projections)),
+                           dtype=np.intp, count=combos * t * 2).reshape(combos, t, 2)
         weights = slots = None
-        if _product_wins(self.spec.k, self.spec.t, len(self._combos)):
+        if _product_wins(self.spec.k, t, combos):
             # weights[i, r]: the stride of parameter i in rank r, 0 if i is not in it
-            weights = np.zeros((self.spec.k, len(self._combos)))
-            weights[proj[:, :, 0], np.arange(len(self._combos))[:, None]] = proj[:, :, 1]
+            weights = np.zeros((self.spec.k, combos))
+            weights[proj[:, :, 0], np.arange(combos)[:, None]] = proj[:, :, 1]
         else:
             slots = (np.ascontiguousarray(proj[:, -1, 0]),
                      [(np.ascontiguousarray(proj[:, j, 0]), np.ascontiguousarray(proj[:, j, 1]))
-                      for j in range(self.spec.t - 1)])
+                      for j in range(t - 1)])
         self._gather = (
             np,
             np.frombuffer(self._alive, dtype=np.uint8),  # zero-copy: sees and makes every mark
-            np.array(self.spec.domains, dtype=np.uintp),  # unsigned: catches negatives too
             np.array(self._bases[:-1], dtype=np.intp),
             weights,
             slots,
         )
         return self._gather
 
-    def _accept(self, rows):
-        """A non-empty batch of rows as a (rows x k) intp ndarray inside the domains.
-
-        One vectorised check; raises the ``ValueError`` of
-        :meth:`CoveringArraySpec.validate_row` for the first invalid row.
-        Needs :meth:`_tables` to have found numpy.
-        """
-        np, _, domain_limits = self._gather[:3]
-        try:
-            batch = np.asarray(rows)  # raises ValueError on ragged or nested rows
-            if batch.shape != (len(rows), self.spec.k) or batch.dtype.kind not in "biu":
-                raise ValueError
-            batch = batch.astype(np.intp, copy=False)
-            if (batch.view(np.uintp) >= domain_limits).any():
-                raise ValueError
-        except ValueError:  # validate_row decides row by row, and raises for the first bad one
-            batch = np.array([self.spec.validate_row(row) for row in rows], dtype=np.intp)
-        return batch
-
     def _positions(self, batch):
         """Flat positions of an intp batch in the domains: (rows x combinations), ranks in order."""
-        np, _, _, bases, weights, slots = self._gather
+        np, _, bases, weights, slots = self._gather
         # base + sum over slots of value * stride, for every row and combination
         if weights is not None:
             # Exact in float64: every term and partial sum is an integer

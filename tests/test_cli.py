@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import cakit
+import cakit.greedy as greedy_module
 from cakit.cli import main
 
 
@@ -110,6 +112,24 @@ class TestGenerateCa:
             assert code == 0
             outputs.append(path.read_text())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_candidates_past_the_element_budget_exit_3_before_any_draw(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 10**8 candidates of 10 values would take about 8 GB to decode at
+        # once. Every decoder raises if reached, so no build of cakit can
+        # start that allocation here.
+        for name in ("_uniform_array_batches", "_mixed_array_batches", "_tuple_batches"):
+            monkeypatch.setattr(greedy_module, name,
+                                mock.Mock(side_effect=AssertionError(f"{name} reached")))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "generate-ca", "--spec", "t=3;k=10;v=5^10",
+            "--candidates", "100000000", "--out", str(out_path),
+        )
+        assert code == 3
+        assert "100000000 candidates" in err
+        assert not out_path.exists()
 
 
 class TestVerifyCa:

@@ -1,20 +1,22 @@
-"""Tests for the batch query every store shares and the greedy's use of it.
+"""Tests for the greedy's block path: flat positions, gathers and position marks.
 
-``coverage_counts`` is one direct gather of the tombstones at
-``base + packed``. Each mechanism's own one-row ``coverage_count`` at the
-same store state is the reference, and HASH's stands for all three. The
-greedy's block path marks its winners from their flat positions; the
-one-row ``mark_covered`` is the reference for that mark.
+The block path gathers the tombstones at ``base + packed`` for a block of
+candidates and marks its winners from their flat positions. A greedy that
+scores every candidate with HASH's one-row ``coverage_count`` is the
+reference for its suites, and the one-row ``mark_covered`` the reference
+for its marks.
 """
 
 import json
 import math
 import sys
-from itertools import combinations, pairwise
+import tracemalloc
+from itertools import chain, combinations, pairwise
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cakit.greedy as greedy_module
 import cakit.store as store_module
 from cakit.cli import main
 from cakit.greedy import GreedyConfig, IncompleteCoverageError, generate_ca, run_greedy
@@ -45,110 +47,23 @@ mixed_specs = st.integers(min_value=1, max_value=6).flatmap(
 ).map(lambda tkd: CoveringArraySpec(t=tkd[0], k=tkd[1], domains=tuple(tkd[2])))
 
 
-@st.composite
-def spec_and_batches(draw):
-    """A spec and a few (batch of rows, row to mark after it) steps."""
-    spec = draw(mixed_specs)
-    row = st.tuples(*(st.integers(min_value=0, max_value=v - 1) for v in spec.domains))
-    steps = draw(st.lists(st.tuples(st.lists(row, max_size=12), row), min_size=1, max_size=5))
-    return spec, steps
-
-
-@given(spec_and_batches(), st.integers(min_value=1, max_value=40))
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_batch_counts_match_hash_with_interleaved_marks(monkeypatch, case, chunk_entries):
-    # A small chunk bound makes most batches span several row chunks.
-    monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", chunk_entries)
-    spec, steps = case
-    reference = build_store(spec, StoreMechanism.HASH)
-    stores = [build_store(spec, mech) for mech in ALL_MECHS]
-    for batch, marked in steps:
-        expected = [reference.coverage_count(r) for r in batch]
-        for store in stores:
-            assert store.coverage_counts(batch) == expected
-            assert [store.coverage_count(r) for r in batch] == expected
-        taken = reference.mark_covered(marked)
-        for store in stores:
-            assert store.mark_covered(marked) == taken
-            assert store.remaining() == reference.remaining()
-    for store in stores:
-        assert list(store.uncovered_elements()) == list(reference.uncovered_elements())
-
-
-def test_batch_crossing_chunks_on_a_t4_spec(monkeypatch):
-    spec = CoveringArraySpec(t=4, k=6, domains=(2, 3, 4, 2, 3, 4))
-    rows = [tuple((i * 7 + j * 3) % v for j, v in enumerate(spec.domains)) for i in range(25)]
-    reference = build_store(spec, StoreMechanism.HASH)
-    reference.mark_covered(rows[3])
-    expected = [reference.coverage_count(r) for r in rows]
-    for entries in (1, 15, 16, 31, 1 << 20):  # C(6,4) = 15 combinations per row
-        monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", entries)
-        for mech in ALL_MECHS:
-            store = build_store(spec, mech)
-            store.mark_covered(rows[3])
-            assert store.coverage_counts(rows) == expected
-
-
-def test_accepts_test_cases_and_empty_batch():
-    for mech in ALL_MECHS:
-        store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)
-        assert store.coverage_counts([]) == []
-        assert store.coverage_counts([(0, 0, 0), [1, 1, 1]]) == [3, 3]
-
-
-@pytest.mark.parametrize("bad", [(0, 0), (0, 0, 0, 0), (0, 0, 2), (0, -1, 0), (0, 0, 1.0)],
-                         ids=["short", "long", "too_big", "negative", "float"])
-def test_batch_validation(bad):
-    for mech in ALL_MECHS:
-        store = build_store(CoveringArraySpec.uniform(2, 3, 2), mech)
-        with pytest.raises(ValueError):
-            store.coverage_counts([(0, 0, 0), bad, (1, 1, 1)])
-        with pytest.raises(ValueError):
-            store.coverage_count(bad)
-
-
-def test_ndarray_batch_equals_list_batch():
-    np = pytest.importorskip("numpy")
-    spec = CoveringArraySpec(t=3, k=5, domains=(3, 3, 3, 3, 3))
-    rows = [tuple((i * 5 + j * 2) % 3 for j in range(5)) for i in range(20)]
-    for mech in ALL_MECHS:
-        store = build_store(spec, mech)
-        store.mark_covered(rows[0])
-        expected = store.coverage_counts(rows)
-        for dtype in (np.intp, np.int32, np.uint8):
-            assert store.coverage_counts(np.array(rows, dtype=dtype)) == expected
-        assert store.coverage_counts(np.empty((0, 5), dtype=np.intp)) == []
-        for bad in (-1, 3):
-            batch = np.array(rows, dtype=np.intp)
-            batch[7, 2] = bad
-            with pytest.raises(ValueError, match="domain"):
-                store.coverage_counts(batch)
-
-
-def test_keeps_zero_counters():
-    pytest.importorskip("numpy")  # without numpy the batch is charged one-row queries
-    for mech in ALL_MECHS:
-        store = build_store(CoveringArraySpec.uniform(2, 4, 3), mech)
-        store.coverage_counts([(0, 1, 2, 0)] * 5)
-        store.coverage_counts([(1, 1, 2, 0)])
-        assert (store.counters.bucket_lookups, store.counters.elements_scanned) == (0, 0)
-
-
 class _CountingProxy:
     """Times nothing but counts one-row queries; forwards every other attribute.
 
     Forwarding through ``__getattr__``, as the benchmark's trace proxy does,
-    hands the proxy the store's ``coverage_counts`` too, so only a type check
-    keeps the greedy asking it row by row.
+    hands the proxy the store's block-path helpers too, so only a type check
+    keeps the greedy asking it row by row. ``forwarded`` names every
+    attribute read through the forward.
     """
 
     def __init__(self, store):
         self._store = store
         self.queries = 0
         self.queries_at_mark: list[int] = []
+        self.forwarded: set[str] = set()
 
     def __getattr__(self, name):
+        self.forwarded.add(name)
         return getattr(self._store, name)
 
     def coverage_count(self, row):
@@ -170,6 +85,9 @@ def _per_row_suite(spec, mech, config):
     ("t=2;k=4;v=2,2,60,60", 10),
     ("t=2;k=6;v=2,3,4,5,1,3", 7),
     ("t=1;k=3;v=4,2,3", 3),
+    # 8 distinct sizes: 10 * 8 + 8 runs > _MIXED_DECODE_LIMIT, so the block
+    # path takes its candidates from the Python decoder
+    ("t=2;k=8;v=2,3,4,5,6,7,8,9", 10),
 ])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_suites_identical_to_hash(spec_text, candidates, seed):
@@ -186,9 +104,11 @@ def test_one_row_queries_through_a_proxy(mech):
     spec = CoveringArraySpec.uniform(3, 6, 4)
     config = GreedyConfig(candidates_per_row=7, rng_seed=3, max_rows=5)
     proxy = _CountingProxy(build_store(spec, mech))
-    assert callable(proxy.coverage_counts)  # forwarded, yet it must go unused
+    assert callable(proxy._positions)  # forwarded, yet it must go unused
+    proxy.forwarded.clear()
     with pytest.raises(IncompleteCoverageError) as excinfo:
         run_greedy(proxy, config)
+    assert "_positions" not in proxy.forwarded
     assert proxy.queries == config.candidates_per_row * config.max_rows
     assert [n % config.candidates_per_row for n in proxy.queries_at_mark] == [0] * 5
     with pytest.raises(IncompleteCoverageError) as batch_run:
@@ -198,8 +118,8 @@ def test_one_row_queries_through_a_proxy(mech):
 
 def _mark_by_positions(store, row):
     """The greedy block path's mark: the row's flat positions, then one position mark."""
-    store._tables()
-    return store._mark_positions(store._positions(store._accept([row]))[0])
+    np = store._tables()[0]
+    return store._mark_positions(store._positions(np.array([row], dtype=np.intp))[0])
 
 
 def _assert_consistent(store):
@@ -235,7 +155,7 @@ def test_position_marks_agree_with_one_row_marks(case):
             assert store.remaining() == reference.remaining()
             _assert_consistent(store)
         assert list(store.uncovered_elements()) == list(reference.uncovered_elements())
-        assert store.coverage_counts([row for row, _ in steps]) == [0] * len(steps)
+        assert [store.coverage_count(row) for row, _ in steps] == [0] * len(steps)
 
 
 @needs_numpy
@@ -314,14 +234,32 @@ def test_positions_are_base_plus_packed_on_both_sides_of_the_product_rule(shapes
     rows = data.draw(st.lists(row, min_size=1, max_size=6))
     store = build_store(spec, StoreMechanism.HASH)
     store.mark_covered(rows[0])
-    np, *_, weights, slots = store._tables()
+    np, alive, *_, weights, slots = store._tables()
     # one set of position tables, the one the rule picks
     assert (weights is not None, slots is not None) == (by_product, not by_product)
-    positions = store._positions(store._accept(rows))
+    positions = store._positions(np.array(rows, dtype=np.intp))
     assert positions.dtype == np.intp
     expected = [[base + p for base, p in zip(store._bases, store._pack(r))] for r in rows]
     assert positions.tolist() == expected
-    assert store.coverage_counts(rows) == [store.coverage_count(r) for r in rows]
+    assert alive[positions].sum(axis=1).tolist() == [store.coverage_count(r) for r in rows]
+
+
+@needs_numpy
+def test_position_tables_are_built_without_a_temporary_copy():
+    # The (C, t, 2) projection table, then the per-slot tables kept from it,
+    # each allocated once: converting the nested projection tuples with
+    # np.array peaks at four times the projection table.
+    spec = CoveringArraySpec.uniform(2, 200, 2)  # 19,900 combinations
+    store = build_store(spec, StoreMechanism.INDEXED)
+    tracemalloc.start()
+    try:
+        np, *_, bases, _, (last_params, others) = store._tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    projection = math.comb(spec.k, spec.t) * spec.t * 2 * np.dtype(np.intp).itemsize
+    kept = sum(a.nbytes for a in (bases, last_params, *chain(*others)))
+    assert peak < 1.5 * (projection + kept)
 
 
 @needs_numpy
@@ -345,7 +283,7 @@ def test_oversized_iterations_are_scored_in_row_chunks(monkeypatch, spec_text, c
     expected = _per_row_suite(spec, StoreMechanism.HASH, config)
     combos = math.comb(spec.k, spec.t)
     bound = entries(combos, candidates)
-    monkeypatch.setattr(store_module, "_GATHER_CHUNK_ENTRIES", bound)
+    monkeypatch.setattr(greedy_module, "_GATHER_CHUNK_ENTRIES", bound)
     widest = []
     positions = InteractionStore._positions
 
@@ -361,20 +299,6 @@ def test_oversized_iterations_are_scored_in_row_chunks(monkeypatch, spec_text, c
 
 
 class TestWithoutNumpy:
-    @pytest.mark.parametrize("mech", ALL_MECHS)
-    def test_fresh_store_counts_row_by_row(self, monkeypatch, mech):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        spec = CoveringArraySpec(t=2, k=4, domains=(2, 3, 4, 3))
-        store = build_store(spec, mech)
-        store.mark_covered((1, 2, 3, 0))
-        rows = [(0, 0, 0, 0), (1, 2, 3, 1), (1, 1, 1, 1)]
-        before = store.counters
-        assert store.coverage_counts(rows) == [6, 3, 6]
-        assert store.counters != before  # charged: the mechanism's own query answered
-        assert store.coverage_counts(rows) == [store.coverage_count(r) for r in rows]
-        with pytest.raises(ValueError):
-            store.coverage_counts([(0, 0, 0, 0), (0, 0, 0, 3)])
-
     def test_cli_default_falls_back_to_hash(self, monkeypatch, capsys, tmp_path):
         spec = "t=3;k=10;v=5^10"
         with_numpy = tmp_path / "with.csv"

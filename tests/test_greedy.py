@@ -143,8 +143,11 @@ def _oracle_batches(seed, domains, count, iterations):
     ]
 
 
-@pytest.mark.parametrize("numpy_blocked", [False, True], ids=["numpy", "no_numpy"])
-@pytest.mark.parametrize("vectorised", [True, False], ids=["batch", "one_row"])
+# "batch" is the block path's decoder, "one_row" the one-row path's; the
+# array decoder needs numpy.
+@pytest.mark.parametrize("decoder, numpy_blocked", [
+    ("_array_batches", False), ("_tuple_batches", False), ("_tuple_batches", True),
+], ids=["batch-numpy", "one_row-numpy", "one_row-no_numpy"])
 @given(
     seed=st.integers(min_value=0, max_value=2**64),
     domains=_domains,
@@ -153,23 +156,22 @@ def _oracle_batches(seed, domains, count, iterations):
     draw_words=st.integers(min_value=1, max_value=64),
 )
 @settings(max_examples=60, deadline=None)
-def test_candidates_are_randrange_rows(numpy_blocked, vectorised, seed, domains, count,
+def test_candidates_are_randrange_rows(decoder, numpy_blocked, seed, domains, count,
                                        iterations, draw_words):
     # Small draws and decoding windows make every run refill its word buffer
     # and decode many times, often in the middle of a row.
+    np = pytest.importorskip("numpy") if decoder == "_array_batches" else None
     expected = _oracle_batches(seed, domains, count, iterations)
     with _without_numpy(numpy_blocked), \
             mock.patch.object(greedy_module, "_MIN_DRAW_WORDS", draw_words), \
             mock.patch.object(greedy_module, "_DECODE_WINDOW_WORDS", draw_words):
-        batches = greedy_module._candidate_batches(
-            random.Random(seed), domains, count, vectorised=vectorised
-        )
+        rng = random.Random(seed)
+        if np is None:
+            batches = greedy_module._tuple_batches(rng, domains, count)
+        else:
+            batches = greedy_module._array_batches(np, rng, domains, count)
         got = [next(batches) for _ in range(iterations)]
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if vectorised and np is not None:
+        if np is not None:
             assert all(b.dtype == np.intp and b.shape == (count, len(domains)) for b in got)
             got = [[tuple(row) for row in b.tolist()] for b in got]
         assert all(type(x) is int for b in got for row in b for x in row)
@@ -177,7 +179,7 @@ def test_candidates_are_randrange_rows(numpy_blocked, vectorised, seed, domains,
 
 
 class _ForwardingProxy:
-    """Forwards every attribute, coverage_counts included, as a timing proxy does."""
+    """Forwards every attribute, the block path's helpers included, as a timing proxy does."""
 
     def __init__(self, store):
         self._store = store

@@ -167,7 +167,8 @@ class TestQueries:
         assert list(store.uncovered_elements()) == []
 
     @pytest.mark.parametrize("mech", ALL_MECHS)
-    @pytest.mark.parametrize("row", [(0, 0), (0, 0, 0, 0), (0, 0, 5), (0, 1.0, 0), (0, 0.5, 0)])
+    @pytest.mark.parametrize("row", [(0, 0), (0, 0, 0, 0), (0, 0, 5), (0, 1.0, 0), (0, 0.5, 0),
+                                     (0, -1, 0)])
     def test_invalid_row_rejected(self, mech, row):
         spec = CoveringArraySpec.uniform(2, 3, 2)
         store = build_store(spec, mech)
