@@ -140,7 +140,7 @@ def _cmd_generate_ca(args) -> int:
         "rows": len(suite.rows),
         "remaining": remaining,
         "elapsed_s": elapsed,
-        "rng": "random.Random (CPython Mersenne Twister)",
+        "rng": "random.Random (CPython Mersenne Twister), (64-bit word * v) >> 64",
     }
     with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(metadata, fh, indent=2)

@@ -19,6 +19,10 @@ from typing import Sequence
 
 _RUN_TERM = re.compile(r"^(\d+)\^(\d+)$")
 
+#: Default ceiling on the number of interaction elements a store may hold.
+#: Roughly 1 GiB of worst-case layout; raise it explicitly for bigger runs.
+DEFAULT_MAX_ELEMENTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class CoveringArraySpec:
@@ -82,6 +86,10 @@ class CoveringArraySpec:
             k = int(fields["k"])
         except ValueError as exc:
             raise ValueError(f"non-integer t or k in spec string {text!r}") from exc
+        # With t < k there are at least k combinations of at least one element
+        # each, so no store of more parameters fits the default budget.
+        if k > DEFAULT_MAX_ELEMENTS:
+            raise ValueError(f"k={k} parameters exceed the element budget of {DEFAULT_MAX_ELEMENTS}")
         domains: list[int] = []
         for term in fields["v"].split(","):
             term = term.strip()

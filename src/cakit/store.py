@@ -43,11 +43,7 @@ from itertools import chain, compress, pairwise
 from typing import Iterator, Sequence
 
 from .combgen import iter_combinations_stack
-from .model import CoveringArraySpec, InteractionElement
-
-#: Default ceiling on the number of interaction elements a store may hold.
-#: Roughly 1 GiB of worst-case layout; raise it explicitly for bigger runs.
-DEFAULT_MAX_ELEMENTS = 10_000_000
+from .model import DEFAULT_MAX_ELEMENTS, CoveringArraySpec, InteractionElement
 
 
 def _product_wins(k: int, t: int, combos: int) -> bool:

@@ -119,7 +119,7 @@ class TestGenerateCa:
         # 10**8 candidates of 10 values would take about 8 GB to decode at
         # once. Every decoder raises if reached, so no build of cakit can
         # start that allocation here.
-        for name in ("_uniform_array_batches", "_mixed_array_batches", "_tuple_batches"):
+        for name in ("_array_batches", "_tuple_batches"):
             monkeypatch.setattr(greedy_module, name,
                                 mock.Mock(side_effect=AssertionError(f"{name} reached")))
         out_path = tmp_path / "x.csv"

@@ -85,8 +85,6 @@ def _per_row_suite(spec, mech, config):
     ("t=2;k=4;v=2,2,60,60", 10),
     ("t=2;k=6;v=2,3,4,5,1,3", 7),
     ("t=1;k=3;v=4,2,3", 3),
-    # 8 distinct sizes: 10 * 8 + 8 runs > _MIXED_DECODE_LIMIT, so the block
-    # path takes its candidates from the Python decoder
     ("t=2;k=8;v=2,3,4,5,6,7,8,9", 10),
 ])
 @pytest.mark.parametrize("seed", [1, 2])

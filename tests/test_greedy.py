@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -111,12 +112,12 @@ def test_domains_past_32_bits_refused_before_any_draw():
         run_greedy(Store(), GreedyConfig())
 
 
-# -- candidate sampling: bulk 32-bit words decoded into randrange's rows ------
+# -- candidate sampling: one 64-bit word per value, mapped by (w * v) >> 64 ---
 
-# randrange(v) reads one 32-bit word per try for every v below 2**32. At the
-# edges: v = 1 and powers of two reject half the words, and the words of
-# 2**31 and 2**32 - 1 are not shifted at all.
+# Edges: v = 1 maps every word to 0, and 2**31 and 2**32 - 1 are the biggest
+# domains, whose products use every bit of the split uint64 arithmetic.
 _EDGE_DOMAINS = [1, 2, 3, 60, 2**31, 2**32 - 1]
+_EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 _domain = st.one_of(st.sampled_from(_EDGE_DOMAINS), st.integers(min_value=1, max_value=2**32 - 1))
 _repeats = st.integers(min_value=1, max_value=6)
 _domains = st.one_of(
@@ -126,8 +127,6 @@ _domains = st.one_of(
     st.lists(st.tuples(_domain, _repeats), min_size=2, max_size=4).map(
         lambda runs: tuple(v for v, m in runs for _ in range(m))),
     st.just((2, 2, 60, 60)),
-    # enough distinct sizes that numpy batches come from the Python decoder
-    st.lists(_domain, min_size=8, max_size=12, unique=True).map(tuple),
 )
 
 
@@ -135,47 +134,74 @@ def _without_numpy(blocked):
     return mock.patch.dict(sys.modules, {"numpy": None}) if blocked else contextlib.nullcontext()
 
 
+def _oracle_row(rng, domains):
+    return tuple((rng.getrandbits(64) * v) >> 64 for v in domains)
+
+
 def _oracle_batches(seed, domains, count, iterations):
     rng = random.Random(seed)
-    return [
-        [tuple(rng.randrange(v) for v in domains) for _ in range(count)]
-        for _ in range(iterations)
-    ]
+    return [[_oracle_row(rng, domains) for _ in range(count)] for _ in range(iterations)]
+
+
+def _decode(decoder, rng, domains, count, iterations):
+    """``iterations`` batches from the named decoder, as lists of tuples of ints."""
+    if decoder == "_tuple_batches":
+        batches = greedy_module._tuple_batches(rng, domains, count)
+        return [next(batches) for _ in range(iterations)]
+    np = pytest.importorskip("numpy")
+    batches = greedy_module._array_batches(np, rng, domains, count)
+    got = [next(batches) for _ in range(iterations)]
+    assert all(b.dtype == np.intp and b.shape == (count, len(domains)) for b in got)
+    return [[tuple(row) for row in b.tolist()] for b in got]
 
 
 # "batch" is the block path's decoder, "one_row" the one-row path's; the
 # array decoder needs numpy.
-@pytest.mark.parametrize("decoder, numpy_blocked", [
+_DECODERS = pytest.mark.parametrize("decoder, numpy_blocked", [
     ("_array_batches", False), ("_tuple_batches", False), ("_tuple_batches", True),
 ], ids=["batch-numpy", "one_row-numpy", "one_row-no_numpy"])
+
+
+@_DECODERS
 @given(
     seed=st.integers(min_value=0, max_value=2**64),
     domains=_domains,
     count=st.integers(min_value=1, max_value=30),
     iterations=st.integers(min_value=1, max_value=25),
-    draw_words=st.integers(min_value=1, max_value=64),
 )
 @settings(max_examples=60, deadline=None)
-def test_candidates_are_randrange_rows(decoder, numpy_blocked, seed, domains, count,
-                                       iterations, draw_words):
-    # Small draws and decoding windows make every run refill its word buffer
-    # and decode many times, often in the middle of a row.
-    np = pytest.importorskip("numpy") if decoder == "_array_batches" else None
+def test_candidates_are_multiply_shift_rows(decoder, numpy_blocked, seed, domains, count,
+                                            iterations):
     expected = _oracle_batches(seed, domains, count, iterations)
-    with _without_numpy(numpy_blocked), \
-            mock.patch.object(greedy_module, "_MIN_DRAW_WORDS", draw_words), \
-            mock.patch.object(greedy_module, "_DECODE_WINDOW_WORDS", draw_words):
-        rng = random.Random(seed)
-        if np is None:
-            batches = greedy_module._tuple_batches(rng, domains, count)
-        else:
-            batches = greedy_module._array_batches(np, rng, domains, count)
-        got = [next(batches) for _ in range(iterations)]
-        if np is not None:
-            assert all(b.dtype == np.intp and b.shape == (count, len(domains)) for b in got)
-            got = [[tuple(row) for row in b.tolist()] for b in got]
-        assert all(type(x) is int for b in got for row in b for x in row)
+    with _without_numpy(numpy_blocked):
+        got = _decode(decoder, random.Random(seed), domains, count, iterations)
+    assert all(type(x) is int for b in got for row in b for x in row)
     assert got == expected
+
+
+@_DECODERS
+def test_decoders_are_exact_at_the_edge_words(decoder, numpy_blocked):
+    # Row i reads _EDGE_WORDS[i] for every value, so the batch holds every
+    # (word, domain) pair; the uint64 split must equal Python's big-int product.
+    words = [w for w in _EDGE_WORDS for _ in _EDGE_DOMAINS]
+    rng = mock.Mock(getrandbits=mock.Mock(
+        return_value=sum(w << (64 * i) for i, w in enumerate(words))))
+    with _without_numpy(numpy_blocked):
+        [got] = _decode(decoder, rng, _EDGE_DOMAINS, len(_EDGE_WORDS), 1)
+    rng.getrandbits.assert_called_once_with(64 * len(words))
+    assert got == [tuple((w * v) >> 64 for v in _EDGE_DOMAINS) for w in _EDGE_WORDS]
+
+
+@_DECODERS
+def test_decoders_draw_uniform_values(decoder, numpy_blocked):
+    # 120,000 values of domain 60: each count is binomial with mean 2,000
+    # and sigma about 44.3; a fixed seed keeps this deterministic.
+    with _without_numpy(numpy_blocked):
+        [got] = _decode(decoder, random.Random(2024), (60,), 120_000, 1)
+    counts = Counter(row[0] for row in got)
+    assert sorted(counts) == list(range(60))
+    sigma = (120_000 * (1 / 60) * (59 / 60)) ** 0.5
+    assert all(abs(c - 2_000) <= 5 * sigma for c in counts.values())
 
 
 class _ForwardingProxy:
@@ -189,16 +215,14 @@ class _ForwardingProxy:
 
 
 def _oracle_greedy(spec, config):
-    """The greedy with one randrange per value and one-row queries: the rows to expect."""
+    """The greedy with one ``getrandbits(64)`` per value and one-row queries: the rows to expect."""
     store = build_store(spec, StoreMechanism.HASH)
     rng = random.Random(config.rng_seed)
     rows = []
     for _ in range(config.max_rows):
         if not store.remaining():
             break
-        candidates = [
-            tuple(rng.randrange(v) for v in spec.domains) for _ in range(config.candidates_per_row)
-        ]
+        candidates = [_oracle_row(rng, spec.domains) for _ in range(config.candidates_per_row)]
         gains = [store.coverage_count(c) for c in candidates]
         if max(gains) > 0:
             best = candidates[gains.index(max(gains))]
@@ -255,21 +279,21 @@ def test_block_path_decodes_mixed_domains_without_the_tuple_decoder():
     assert proxied == rows
 
 
-# sha256 of generate-ca's suite CSV, computed with one randrange call per value.
+# sha256 of generate-ca's suite CSV, each value drawn as (rng.getrandbits(64) * v) >> 64.
 _GOLDEN_SUITES = {
-    ("t=3;k=10;v=5^10", (), 1): "75df9a2aa0e940c632b54a98de00c40276e5a67a0d367040b8bcc110e3405826",
-    ("t=3;k=10;v=5^10", (), 2): "19c119fb9efc1048143f55e3cad0ba6bdb1ec8549d4349327dc99fd43781ae44",
-    ("t=3;k=10;v=5^10", (), 3): "d660dc5a72d998c93c63cac469e53e5cbb1e3b31fd988f3f5031a85fbec5e357",
+    ("t=3;k=10;v=5^10", (), 1): "709c381820215abcee1505ec52922e44aa5f679a977353d26f4a2ecd428e3712",
+    ("t=3;k=10;v=5^10", (), 2): "d82cdf4ae6aa8cb8187c684bc2f4b7509c16835c0801ce21318b700149365f39",
+    ("t=3;k=10;v=5^10", (), 3): "5e76b48858eea3e4195c57eea5ff3fa93d2afcab07d2eea730b7efd53f62fcb0",
     ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 1):
-        "601c7fcb3a277d3cff3b077b058c370487061c70108286f2d17ca0cf4fc4172b",
+        "14d1d9c58f3989dfe06f462f3c563b0de4665a44e030e7782bb91c24c5aeec75",
     ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 2):
-        "215821d10c493d06aac603f3fd105a8d75e3182f366bfa92a15e4d737c5f727f",
+        "114e63afbbfebd30c30f45e51c8bc778f9d53e9b9330c2c0e5bc06126c8c57ef",
     ("t=2;k=4;v=2,2,60,60", ("--candidates", "10"), 3):
-        "5c47eb2adbc33a9bae26e9c4ead21c68757a838cf06e468626fc4d4fe76cd81c",
+        "e5519d26a82829485c8ec82c392841393b0ea4486c69bbc52656f0276bbd32ae",
     ("t=3;k=6;v=2,3,4,5,6,7", ("--candidates", "20"), 1):
-        "9aabaa4d4fa8f2c887a72f9158a96c24671b1fec11abf5a8fc0413353fcd9f54",
+        "6a0aa09846f0259f06ffc295faf02f45fa5764cb0330e1767fcb1393f5ee8349",
     ("t=3;k=6;v=2,3,4,5,6,7", ("--candidates", "20"), 2):
-        "0d1d006801830d7b3d48b214b1bcdfbbad1a34086befc0ca8d0cde50bfb013ea",
+        "ffae0ea6edbb8d71a8c127875da36217d19eb646bae61913ca850fc8d53c9b78",
 }
 
 
@@ -285,4 +309,4 @@ def test_generate_ca_suites_match_golden_digests(tmp_path, capsys, numpy_blocked
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     meta = json.loads((tmp_path / "suite.csv.meta.json").read_text())
-    assert meta["rng"] == "random.Random (CPython Mersenne Twister)"
+    assert meta["rng"] == "random.Random (CPython Mersenne Twister), (64-bit word * v) >> 64"

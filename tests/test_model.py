@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cakit.model import (
+    DEFAULT_MAX_ELEMENTS,
     CoveringArraySpec,
     TestCase,
     TestSuite,
@@ -105,6 +106,17 @@ class TestCoveringArraySpec:
         try:
             with pytest.raises(ValueError, match="expected 3 domain sizes"):
                 CoveringArraySpec.from_string("t=2;k=3;v=2^10000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_k_past_the_element_budget_refused_before_any_run_is_expanded(self):
+        k = DEFAULT_MAX_ELEMENTS + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"k={k} parameters"):
+                CoveringArraySpec.from_string(f"t=1;k={k};v=2^{k}")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
