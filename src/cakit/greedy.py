@@ -90,8 +90,8 @@ class IncompleteCoverageError(RuntimeError):
 
 
 def _draw_words(rng: random.Random, count: int) -> bytes:
-    """The generator's next ``count`` 64-bit words, least significant first, in native byte order."""
-    return rng.getrandbits(64 * count).to_bytes(8 * count, sys.byteorder)
+    """The generator's next ``count`` 64-bit words, in order, as little-endian bytes."""
+    return rng.getrandbits(64 * count).to_bytes(8 * count, "little")
 
 
 def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> Iterator[list]:
@@ -104,7 +104,10 @@ def _tuple_batches(rng: random.Random, domains: Sequence[int], count: int) -> It
     k = len(domains)
     plan = tuple(domains) * count
     while True:
-        values = [(w * v) >> 64 for w, v in zip(array("Q", _draw_words(rng, count * k)), plan)]
+        words = array("Q", _draw_words(rng, count * k))
+        if sys.byteorder == "big":
+            words.byteswap()
+        values = [(w * v) >> 64 for w, v in zip(words, plan)]
         yield list(zip(*[iter(values)] * k))
 
 
@@ -112,7 +115,7 @@ def _array_batches(np, rng: random.Random, domains: Sequence[int], count: int) -
     """The batches of :func:`_tuple_batches`, each a ``(count, k)`` intp ndarray."""
     v = np.array(domains, dtype=np.uint64)
     while True:
-        w = np.frombuffer(_draw_words(rng, count * len(v)), dtype=np.uint64).reshape(count, -1)
+        w = np.frombuffer(_draw_words(rng, count * len(v)), dtype="<u8").reshape(count, -1)
         # (w * v) >> 64 with w split at bit 32: while v < 2**32, no product or sum overflows
         yield (((w >> 32) * v + (((w & 0xFFFFFFFF) * v) >> 32)) >> 32).astype(np.intp)
 

@@ -66,6 +66,10 @@ class CoveringArraySpec:
         A value term ``x^n`` stands for n repetitions of x, so
         ``t=2;k=10;v=10^10`` is ten parameters with ten values each. Each
         field appears once; any other field is an error.
+
+        A k above :data:`DEFAULT_MAX_ELEMENTS` is refused before any run is
+        expanded. This parser limit stays when a store's ``max_elements`` is
+        raised; build such a spec with the constructor.
         """
         fields: dict[str, str] = {}
         for part in text.strip().split(";"):

@@ -1,5 +1,6 @@
 """Tests for the greedy covering-array builder."""
 
+import array
 import contextlib
 import hashlib
 import json
@@ -190,6 +191,21 @@ def test_decoders_are_exact_at_the_edge_words(decoder, numpy_blocked):
         [got] = _decode(decoder, rng, _EDGE_DOMAINS, len(_EDGE_WORDS), 1)
     rng.getrandbits.assert_called_once_with(64 * len(words))
     assert got == [tuple((w * v) >> 64 for v in _EDGE_DOMAINS) for w in _EDGE_WORDS]
+
+
+def test_python_decoder_reads_the_same_words_on_a_big_endian_host():
+    # A big-endian host's array("Q") reads each 8-byte word byte-reversed;
+    # the decoder must undo that, so candidates do not depend on the host.
+    def big_endian_array(typecode, data):
+        words = array.array(typecode, data)
+        words.byteswap()
+        return words
+
+    domains = (2, 3, 60, 2**32 - 1)
+    with mock.patch.object(greedy_module, "sys", mock.Mock(byteorder="big")), \
+            mock.patch.object(greedy_module, "array", big_endian_array):
+        got = _decode("_tuple_batches", random.Random(5), domains, 7, 3)
+    assert got == _oracle_batches(5, domains, 7, 3)
 
 
 @_DECODERS
